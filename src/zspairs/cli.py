@@ -97,8 +97,15 @@ def cmd_ell(args: argparse.Namespace) -> int:
     if args.no_cache:
         print("cache: off", file=sys.stderr)
     else:
-        path = store_report(cfg.k, cfg.mode, cfg.sum_cap, __version__, report.to_obj())
-        print(f"cache: stored {path}", file=sys.stderr)
+        # The report is already printed; failing to cache it is not an error.
+        try:
+            path = store_report(
+                cfg.k, cfg.mode, cfg.sum_cap, __version__, report.to_obj()
+            )
+        except OSError as e:
+            print(f"cache: not stored ({e})", file=sys.stderr)
+        else:
+            print(f"cache: stored {path}", file=sys.stderr)
     return 0
 
 

@@ -2,12 +2,23 @@
 
 The survey runs sum by sum: for each common sum S up to a cap, every
 unordered pair of same-sum multisets with values in [1, k] is a
-candidate.  Brute mode tests them all and consults no structural theorem,
-so whatever it reports about maximum lengths is discovered, not assumed.
-Pruned mode exploits the proved bounds (each side's cardinality is at
-most the other side's maximum, and sides of a longer irreducible pair are
-disjoint) to cut candidate generation, and is validated against brute
-mode on overlapping ranges.
+candidate.  Brute mode decides them all and consults no structural
+theorem, so whatever it reports about maximum lengths is discovered, not
+assumed.  Pruned mode exploits the proved bounds (each side's cardinality
+is at most the other side's maximum, and sides of a longer irreducible
+pair are disjoint) to cut candidate generation, and is validated against
+brute mode on overlapping ranges.
+
+Both modes share one scan kernel, a disjointness join rather than an
+all-pairs loop.  A pair is irreducible iff the interior achievable-sum
+masks of its sides do not meet.  Every value of B is itself a sum of B,
+so B's mask restricted to bits 1..k already meets A's whenever A contains
+one of B's values as an interior sum; such pairs are skipped without
+being visited.  Candidates are bucketed by those low k bits, each A walks
+only the buckets its own mask misses, and every surviving pair still gets
+the full-mask AND test (after pruned mode's exact predicates).  The skip
+follows from the definition alone, so brute mode stays theorem-free, and
+the candidate count reported stays m(m+1)/2 for m same-sum multisets.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -19,7 +30,9 @@ changes output.
 from __future__ import annotations
 
 import itertools
+import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -95,16 +108,6 @@ class EllReport:
         }
 
 
-def _partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # Element tuples in descending-lexicographic order.
-    if remaining == 0:
-        yield ()
-        return
-    for v in range(min(max_part, remaining), 0, -1):
-        for rest in _partitions(remaining - v, v):
-            yield (v,) + rest
-
-
 def _partitions_bounded(
     remaining: int, max_part: int, max_len: int
 ) -> Iterator[tuple[int, ...]]:
@@ -131,21 +134,20 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
         raise ValueError(f"k must be positive, got {k}")
     if total < 1:
         raise ValueError(f"total must be positive, got {total}")
-    for parts in _partitions(total, min(k, total)):
+    for parts in _partitions_bounded(total, min(k, total), total):
         yield Multiset(_to_runs(parts))
 
 
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
-    tuples, plus the number of candidate pairs inspected."""
-    if mode == "pruned":
-        # Both bounds below cap cardinality at k, so generate only
-        # partitions with at most k parts.
-        runs_list = [
-            _to_runs(p) for p in _partitions_bounded(total, min(k, total), k)
-        ]
-    else:
-        runs_list = [_to_runs(p) for p in _partitions(total, min(k, total))]
+    tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
+    candidates (most are ruled out by the join without being visited)."""
+    # Both bounds cap cardinality at k, so pruned mode generates only
+    # partitions with at most k parts.
+    max_len = k if mode == "pruned" else total
+    runs_list = [
+        _to_runs(p) for p in _partitions_bounded(total, min(k, total), max_len)
+    ]
     interior = _interior_mask(total)
     masks = []
     for runs in runs_list:
@@ -154,43 +156,71 @@ def _scan_sum(k: int, total: int, mode: str):
             bits = _fold_run(bits, v, c)
         masks.append(bits & interior)
     m = len(runs_list)
-    hits = []
-    scanned = m * (m + 1) // 2
-    if mode == "brute":
-        for i in range(m):
-            mask_a = masks[i]
-            for j in range(i, m):
-                if not mask_a & masks[j]:
-                    hits.append((runs_list[i], runs_list[j]))
-    else:
+    pruned = mode == "pruned"
+    if pruned:
         cards = [sum(c for _, c in runs) for runs in runs_list]
         maxima = [runs[0][0] for runs in runs_list]
         valsets = [frozenset(v for v, _ in runs) for runs in runs_list]
-        for i in range(m):
-            mask_a = masks[i]
-            for j in range(i, m):
-                if cards[i] > maxima[j] or cards[j] > maxima[i]:
-                    continue
-                if cards[i] + cards[j] > 2 and not valsets[i].isdisjoint(valsets[j]):
+
+    # A key is a subset of its mask, so a B whose key meets mask_a fails
+    # the AND test: only buckets whose key misses mask_a can hold hits.
+    # Bits 1..k include B's own values, which makes the key selective.
+    low = (1 << (k + 1)) - 2
+    buckets: dict[int, list[int]] = {}
+    for j, mask in enumerate(masks):
+        buckets.setdefault(mask & low, []).append(j)
+    reachable: dict[int, list[list[int]]] = {}
+
+    hits = []
+    for i, mask_a in enumerate(masks):
+        key_a = mask_a & low
+        if key_a not in reachable:
+            reachable[key_a] = [js for key, js in buckets.items() if not key & key_a]
+        row = []
+        for js in reachable[key_a]:
+            for j in js[bisect_left(js, i):]:
+                if pruned and (
+                    cards[i] > maxima[j]
+                    or cards[j] > maxima[i]
+                    or (cards[i] + cards[j] > 2 and not valsets[i].isdisjoint(valsets[j]))
+                ):
                     continue
                 if not mask_a & masks[j]:
-                    hits.append((runs_list[i], runs_list[j]))
-    return hits, scanned
+                    row.append(j)
+        row.sort()
+        runs_a = runs_list[i]
+        hits.extend((runs_a, runs_list[j]) for j in row)
+    return hits, m * (m + 1) // 2
 
 
 def _scan_task(args: tuple[int, int, str]):
     return _scan_sum(*args)
 
 
+def _worker_count(workers: int, tasks: int) -> int:
+    """Processes worth starting: never more than the cores or the tasks.
+
+    A fork-started pool spawns every worker it is given at once, so an
+    unchecked count is an unbounded process fan-out.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, tasks)
+
+
+def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_scan_task, tasks)
+
+
 def _scan_all(cfg: EnumConfig, workers: int):
-    """Per-sum scan results for S = 1..sum_cap, in S order."""
-    sums = range(1, cfg.sum_cap + 1)
+    """Per-sum scan results for S = 1..sum_cap, in S order.  The worker
+    count is checked when this is called, before any sum is scanned."""
+    tasks = [(cfg.k, S, cfg.mode) for S in range(1, cfg.sum_cap + 1)]
+    workers = _worker_count(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_scan_task, [(cfg.k, S, cfg.mode) for S in sums])
-    else:
-        for S in sums:
-            yield _scan_sum(cfg.k, S, cfg.mode)
+        return _scan_pool(tasks, workers)
+    return (_scan_sum(*task) for task in tasks)
 
 
 def _in_window(cfg: EnumConfig, length: int) -> bool:
@@ -204,11 +234,14 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
     """Every k-irreducible pair with common sum <= sum_cap (and length in
     the window, if one is set), exactly once, in a fixed order: by sum,
     then by descending-lexicographic position of A, then of B."""
-    for hits, _ in _scan_all(cfg, workers):
-        for runs_a, runs_b in hits:
-            p = Pair(Multiset(runs_a), Multiset(runs_b))
-            if _in_window(cfg, p.length):
-                yield p
+    # The outermost iterable of a generator expression is evaluated now,
+    # so a bad worker count fails here rather than mid-stream.
+    pairs = (
+        Pair(Multiset(runs_a), Multiset(runs_b))
+        for hits, _ in _scan_all(cfg, workers)
+        for runs_a, runs_b in hits
+    )
+    return (p for p in pairs if _in_window(cfg, p.length))
 
 
 def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:

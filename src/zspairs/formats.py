@@ -27,8 +27,9 @@ class FormatError(ValueError):
         self.position = position
 
 
-_RUN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
-_STEP_RE = re.compile(r"^(\d+),(\d+)(?:\^(\d+))?$")
+# [0-9], not \d: \d also matches non-ASCII digits, which int() accepts.
+_RUN_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
+_STEP_RE = re.compile(r"^([0-9]+),([0-9]+)(?:\^([0-9]+))?$")
 
 
 def _tokens(text: str, offset: int = 0) -> list[tuple[int, str]]:

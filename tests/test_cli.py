@@ -51,6 +51,13 @@ class TestCheck:
         assert "parse error" in err
         assert "column 0" in err
 
+    def test_non_ascii_digits_rejected(self, capsys):
+        # U+0661 ARABIC-INDIC DIGIT ONE: int() reads it, the grammar must not.
+        code, out, err = run(capsys, "check", "\u0661 | 1")
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err
+
 
 class TestDerive:
     def test_product(self, capsys):
@@ -122,6 +129,24 @@ class TestEll:
         _, _, err = run(capsys, "ell", "2")
         assert "cache: stored" in err  # recomputed, not served stale
 
+    def test_cache_write_failure_is_a_warning(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv(CACHE_DIR_ENV, str(blocker / "cache"))
+        code, out, err = run(capsys, "ell", "3")
+        assert code == 0
+        _, expected, _ = run(capsys, "ell", "3", "--no-cache")
+        assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cache: not stored (")
+
+    def test_workers_below_one(self, capsys):
+        code, out, err = run(capsys, "ell", "3", "--no-cache", "--workers", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: workers must be at least 1, got 0\n"
+
     def test_no_cache_skips_write(self, capsys, isolated_cache):
         _, _, err = run(capsys, "ell", "2", "--no-cache")
         assert "cache: off" in err
@@ -160,6 +185,13 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "3", "--sum-cap", "9")
         for line in out.splitlines():
             assert format_pair(parse_pair(line)) == line
+
+
+    def test_workers_below_one(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3", "--format", "csv", "--workers", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: workers must be at least 1")
 
 
 class TestExtremal:

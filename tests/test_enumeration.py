@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from zspairs import enumeration
 from zspairs import (
     EnumConfig,
     KTooSmallError,
@@ -16,7 +18,7 @@ from zspairs import (
     verify_theorem_bounds,
 )
 from zspairs.core import Pair
-from helpers import ms, pair
+from helpers import ms, pair, scan_sum_reference
 
 
 class TestEnumerateMultisets:
@@ -107,11 +109,82 @@ class TestEnumerateIrreducible:
             pruned = list(enumerate_irreducible(EnumConfig(k=k, mode="pruned")))
             assert brute == pruned
 
+    def test_brute_and_pruned_streams_identical_at_k6(self):
+        brute = [pair_to_json(p) for p in enumerate_irreducible(EnumConfig(k=6))]
+        pruned = [
+            pair_to_json(p)
+            for p in enumerate_irreducible(EnumConfig(k=6, mode="pruned"))
+        ]
+        assert brute == pruned
+
+    @pytest.mark.parametrize("k,cap", [(4, 24), (5, 40)])
+    def test_no_irreducible_pair_above_k_squared(self, k, cap):
+        # The default cap k*k rests on |A| <= max B and |B| <= max A;
+        # brute mode past it must find nothing new.
+        sums = [p.a.sigma for p in enumerate_irreducible(EnumConfig(k=k, sum_cap=cap))]
+        assert sums
+        assert max(sums) <= k * k
+
     def test_worker_count_does_not_change_output(self):
         cfg = EnumConfig(k=4, sum_cap=16)
         serial = [pair_to_json(p) for p in enumerate_irreducible(cfg, workers=1)]
         fanned = [pair_to_json(p) for p in enumerate_irreducible(cfg, workers=2)]
         assert serial == fanned
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize(
+        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 9)]
+    )
+    def test_join_matches_all_pairs_reference(self, mode, k):
+        for total in range(1, k * k + 1):
+            assert enumeration._scan_sum(k, total, mode) == scan_sum_reference(
+                k, total, mode
+            ), total
+
+
+class TestWorkerCount:
+    def test_rejects_fewer_than_one(self):
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                enumeration._worker_count(bad, 10)
+
+    def test_clamped_to_cores_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert enumeration._worker_count(3, 36) == 3
+        assert enumeration._worker_count(10**6, 36) == 4
+        assert enumeration._worker_count(10**6, 2) == 2
+        assert enumeration._worker_count(1, 36) == 1
+
+    def test_unknown_core_count_means_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert enumeration._worker_count(8, 36) == 1
+
+    def test_pool_is_built_with_the_clamped_count(self, monkeypatch):
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        cfg = EnumConfig(k=3, sum_cap=9)
+        assert compute_ell(cfg, workers=10**6).ell == 5
+        assert built == [2]
+
+    def test_bad_count_fails_before_streaming(self):
+        with pytest.raises(ValueError):
+            enumerate_irreducible(EnumConfig(k=2), workers=0)
 
 
 class TestComputeEll:
