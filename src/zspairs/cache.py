@@ -11,28 +11,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 CACHE_DIR_ENV = "ZSPAIRS_CACHE_DIR"
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    key: tuple[int, str, int]
-    report: dict
-    tool_version: str
-    created_at: str
-
-    def to_obj(self) -> dict:
-        k, mode, sum_cap = self.key
-        return {
-            "key": {"k": k, "mode": mode, "sum_cap": sum_cap},
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "report": self.report,
-        }
 
 
 def cache_dir() -> Path:
@@ -55,6 +37,8 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
+    if not isinstance(data, dict):
+        return None
     if data.get("tool_version") != tool_version:
         return None
     if data.get("key") != {"k": k, "mode": mode, "sum_cap": sum_cap}:
@@ -69,16 +53,16 @@ def store_report(
     """Persist a report atomically; returns the entry path."""
     path = entry_path(k, mode, sum_cap)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = CacheEntry(
-        key=(k, mode, sum_cap),
-        report=report,
-        tool_version=tool_version,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+    entry = {
+        "key": {"k": k, "mode": mode, "sum_cap": sum_cap},
+        "tool_version": tool_version,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "report": report,
+    }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(entry.to_obj(), fh, indent=2)
+            json.dump(entry, fh, indent=2)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -9,7 +9,7 @@ negated.  All types here are immutable values; every operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 # Width guards: values and sums must stay comfortably inside 32-bit signed
 # range so serialized output is portable.  Far beyond any desk-scale use.
@@ -134,41 +134,6 @@ class Multiset:
                 out.append((v, c))
         return Multiset(tuple(out))
 
-    def add(self, value: int, count: int = 1) -> Multiset:
-        """A copy with `count` extra copies of `value`."""
-        if value <= 0:
-            raise NonPositiveValueError(f"value {value} must be positive")
-        if count <= 0:
-            raise NonPositiveCountError(f"count {count} must be positive")
-        out: list[tuple[int, int]] = []
-        placed = False
-        for v, c in self.runs:
-            if v == value:
-                out.append((v, c + count))
-                placed = True
-            elif not placed and v < value:
-                out.append((value, count))
-                out.append((v, c))
-                placed = True
-            else:
-                out.append((v, c))
-        if not placed:
-            out.append((value, count))
-        return Multiset(tuple(out))
-
-    def union(self, other: Multiset) -> Multiset:
-        """Multiset union: counts add."""
-        merged: dict[int, int] = {v: c for v, c in self.runs}
-        for v, c in other.runs:
-            merged[v] = merged.get(v, 0) + c
-        return Multiset(tuple(sorted(merged.items(), reverse=True)))
-
-
-class Measures(NamedTuple):
-    sigma: int
-    max_value: int
-    cardinality: int
-
 
 def normalize(raw: Iterable[tuple[int, int]]) -> Multiset:
     """Build a canonical Multiset from arbitrary (value, count) items.
@@ -194,11 +159,6 @@ def normalize(raw: Iterable[tuple[int, int]]) -> Multiset:
 def multiset(*elements: int) -> Multiset:
     """Convenience constructor from explicit elements, e.g. multiset(7, 7, 1)."""
     return normalize([(e, 1) for e in elements])
-
-
-def measures(ms: Multiset) -> Measures:
-    """(sum, maximum element, number of elements) of a multiset."""
-    return Measures(ms.sigma, ms.max_value, ms.cardinality)
 
 
 @dataclass(frozen=True, slots=True)

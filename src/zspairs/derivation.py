@@ -116,8 +116,7 @@ def derive(p: Pair, a: int, b: int) -> Pair:
 
 
 def _swap_one(ms: Multiset, old: int, new: int) -> Multiset:
-    # remove one copy of old, insert one copy of new; never transiently
-    # empty, unlike remove().add() on a singleton multiset
+    # remove one copy of old, insert one copy of new
     counts = {v: c for v, c in ms.runs}
     counts[old] -= 1
     counts[new] = counts.get(new, 0) + 1

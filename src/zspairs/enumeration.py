@@ -29,7 +29,6 @@ changes output.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from bisect import bisect_left
@@ -108,23 +107,21 @@ class EllReport:
         }
 
 
-def _partitions_bounded(
+def _partitions(
     remaining: int, max_part: int, max_len: int
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of `remaining` into at most `max_len` parts of size at
+    most `max_part`, as (value, count) run tuples with values descending,
+    in descending-lexicographic order of their element sequences."""
     if remaining == 0:
         yield ()
-        return
-    if max_len == 0:
         return
     for v in range(min(max_part, remaining), 0, -1):
         if v * max_len < remaining:
             break
-        for rest in _partitions_bounded(remaining - v, v, max_len - 1):
-            yield (v,) + rest
-
-
-def _to_runs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
+        for c in range(min(remaining // v, max_len), 0, -1):
+            for rest in _partitions(remaining - v * c, v - 1, max_len - c):
+                yield ((v, c),) + rest
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
@@ -134,8 +131,8 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
         raise ValueError(f"k must be positive, got {k}")
     if total < 1:
         raise ValueError(f"total must be positive, got {total}")
-    for parts in _partitions_bounded(total, min(k, total), total):
-        yield Multiset(_to_runs(parts))
+    for runs in _partitions(total, min(k, total), total):
+        yield Multiset(runs)
 
 
 def _scan_sum(k: int, total: int, mode: str):
@@ -145,9 +142,7 @@ def _scan_sum(k: int, total: int, mode: str):
     # Both bounds cap cardinality at k, so pruned mode generates only
     # partitions with at most k parts.
     max_len = k if mode == "pruned" else total
-    runs_list = [
-        _to_runs(p) for p in _partitions_bounded(total, min(k, total), max_len)
-    ]
+    runs_list = list(_partitions(total, min(k, total), max_len))
     interior = _interior_mask(total)
     masks = []
     for runs in runs_list:
@@ -223,11 +218,14 @@ def _scan_all(cfg: EnumConfig, workers: int):
     return (_scan_sum(*task) for task in tasks)
 
 
-def _in_window(cfg: EnumConfig, length: int) -> bool:
-    if cfg.length_window is None:
-        return True
-    lo, hi = cfg.length_window
-    return lo <= length <= hi
+def _pairs(cfg: EnumConfig, hits) -> Iterator[Pair]:
+    """The scanned hits as Pairs, keeping those whose length lies in the
+    window, if one is set."""
+    window = cfg.length_window
+    for runs_a, runs_b in hits:
+        p = Pair(Multiset(runs_a), Multiset(runs_b))
+        if window is None or window[0] <= p.length <= window[1]:
+            yield p
 
 
 def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
@@ -236,12 +234,7 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
     then by descending-lexicographic position of A, then of B."""
     # The outermost iterable of a generator expression is evaluated now,
     # so a bad worker count fails here rather than mid-stream.
-    pairs = (
-        Pair(Multiset(runs_a), Multiset(runs_b))
-        for hits, _ in _scan_all(cfg, workers)
-        for runs_a, runs_b in hits
-    )
-    return (p for p in pairs if _in_window(cfg, p.length))
+    return (p for hits, _ in _scan_all(cfg, workers) for p in _pairs(cfg, hits))
 
 
 def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
@@ -259,10 +252,7 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     for hits, sc in _scan_all(cfg, workers):
         scanned += sc
         irreducible += len(hits)
-        for runs_a, runs_b in hits:
-            p = Pair(Multiset(runs_a), Multiset(runs_b))
-            if not _in_window(cfg, p.length):
-                continue
+        for p in _pairs(cfg, hits):
             if p.length > ell:
                 ell = p.length
                 witnesses = [p]

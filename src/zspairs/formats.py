@@ -28,8 +28,9 @@ class FormatError(ValueError):
 
 
 # [0-9], not \d: \d also matches non-ASCII digits, which int() accepts.
-_RUN_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
-_STEP_RE = re.compile(r"^([0-9]+),([0-9]+)(?:\^([0-9]+))?$")
+# Matched with fullmatch: `$` also matches before a trailing newline.
+_RUN_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
+_STEP_RE = re.compile(r"([0-9]+),([0-9]+)(?:\^([0-9]+))?")
 
 
 def _tokens(text: str, offset: int = 0) -> list[tuple[int, str]]:
@@ -49,7 +50,7 @@ def parse_multiset(text: str, offset: int = 0) -> Multiset:
         raise FormatError("expected a multiset, got nothing", offset)
     raw = []
     for pos, tok in toks:
-        m = _RUN_RE.match(tok)
+        m = _RUN_RE.fullmatch(tok)
         if not m:
             raise FormatError(f"expected value^count, got {tok!r}", pos)
         value = int(m.group(1))
@@ -123,7 +124,7 @@ def parse_plan(text: str) -> list[tuple[int, int, int]]:
         tok = piece.strip()
         if not tok:
             raise FormatError("empty plan step", pos)
-        m = _STEP_RE.match(tok)
+        m = _STEP_RE.fullmatch(tok)
         if not m:
             raise FormatError(f"expected a,b or a,b^count, got {tok!r}", pos)
         a, b = int(m.group(1)), int(m.group(2))
@@ -145,7 +146,7 @@ def parse_chain(text: str) -> list[tuple[int, int]]:
         tok = piece.strip()
         if not tok:
             raise FormatError("empty chain step", pos)
-        m = _STEP_RE.match(tok)
+        m = _STEP_RE.fullmatch(tok)
         if not m or m.group(3):
             raise FormatError(f"expected a,b, got {tok!r}", pos)
         a, b = int(m.group(1)), int(m.group(2))

@@ -80,13 +80,17 @@ def is_irreducible(p: Pair) -> bool:
     """
     if not p.balanced:
         return False
-    total = p.a.sigma
-    shared = (
+    return _shared_sums(p) == 0
+
+
+def _shared_sums(p: Pair) -> int:
+    # Bit s is set iff both sides have a proper nonempty submultiset
+    # summing to s; meaningful for balanced pairs only.
+    return (
         proper_subset_sums(p.a).achievable
         & proper_subset_sums(p.b).achievable
-        & _interior_mask(total)
+        & _interior_mask(p.a.sigma)
     )
-    return shared == 0
 
 
 def is_irreducible_naive(p: Pair) -> bool:
@@ -136,12 +140,7 @@ def reducibility_witness(p: Pair) -> ReducibilityWitness | None:
     """
     if not p.balanced:
         return None
-    total = p.a.sigma
-    shared = (
-        proper_subset_sums(p.a).achievable
-        & proper_subset_sums(p.b).achievable
-        & _interior_mask(total)
-    )
+    shared = _shared_sums(p)
     if shared == 0:
         return None
     target = (shared & -shared).bit_length() - 1

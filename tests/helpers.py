@@ -13,7 +13,6 @@ from zspairs import (
     pair_canonical,
     proper_subset_sums,
 )
-from zspairs.enumeration import _partitions_bounded
 
 
 def ms(*elements: int) -> Multiset:
@@ -55,10 +54,7 @@ def scan_sum_reference(k: int, total: int, mode: str):
         sides = list(enumerate_multisets(k, total))
     else:
         # Pruned mode's candidates: the same order, at most k elements.
-        sides = [
-            multiset(*parts)
-            for parts in _partitions_bounded(total, min(k, total), k)
-        ]
+        sides = [m for m in enumerate_multisets(k, total) if m.cardinality <= k]
     interior = (1 << total) - 2
     masks = [proper_subset_sums(m).achievable & interior for m in sides]
     cards = [m.cardinality for m in sides]

@@ -51,6 +51,12 @@ class TestCheck:
         assert "parse error" in err
         assert "column 0" in err
 
+    def test_trailing_newline_rejected(self, capsys):
+        code, out, err = run(capsys, "check", "1 | 1\n")
+        assert code == 2
+        assert out == ""
+        assert "column 4" in err
+
     def test_non_ascii_digits_rejected(self, capsys):
         # U+0661 ARABIC-INDIC DIGIT ONE: int() reads it, the grammar must not.
         code, out, err = run(capsys, "check", "\u0661 | 1")
@@ -147,6 +153,16 @@ class TestEll:
         assert out == ""
         assert err == "error: workers must be at least 1, got 0\n"
 
+    def test_corrupt_cache_entry_is_a_miss(self, capsys, isolated_cache):
+        _, expected, _ = run(capsys, "ell", "2")
+        entry = next(isolated_cache.glob("*.json"))
+        entry.write_text("[]")
+        code, out, err = run(capsys, "ell", "2")
+        assert code == 0
+        assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
+        assert "cache: stored" in err
+        assert json.loads(entry.read_text())["report"] == json.loads(out)
+
     def test_no_cache_skips_write(self, capsys, isolated_cache):
         _, _, err = run(capsys, "ell", "2", "--no-cache")
         assert "cache: off" in err
@@ -180,6 +196,12 @@ class TestEnumerate:
         lines = out.splitlines()
         assert lines[0] == "k,sum,length,A,B"
         assert lines[3] == "2,2,3,2,1^2"
+
+    def test_max_len_zero_is_an_empty_window(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3", "--max-len", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad length window (1, 0)\n"
 
     def test_printed_pairs_reparse(self, capsys):
         _, out, _ = run(capsys, "enumerate", "3", "--sum-cap", "9")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -43,6 +44,36 @@ class TestEnumerateMultisets:
         seen = list(enumerate_multisets(4, 9))
         assert len(seen) == len(set(seen))
         assert all(m.sigma == 9 and m.max_value <= 4 for m in seen)
+
+
+def _runs(parts):
+    return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
+
+
+@pytest.mark.parametrize("total", range(1, 13))
+def test_partitions_match_reference(total):
+    # Every partition of total as a descending element tuple: n parts,
+    # none larger than total - n + 1.
+    every = sorted(
+        (
+            parts
+            for n in range(1, total + 1)
+            for parts in itertools.combinations_with_replacement(
+                range(total - n + 1, 0, -1), n
+            )
+            if sum(parts) == total
+        ),
+        reverse=True,
+    )
+    for max_part in range(1, total + 1):
+        for max_len in range(1, total + 1):
+            expected = [
+                _runs(parts)
+                for parts in every
+                if parts[0] <= max_part and len(parts) <= max_len
+            ]
+            got = list(enumeration._partitions(total, max_part, max_len))
+            assert got == expected, (max_part, max_len)
 
 
 class TestEnumConfig:

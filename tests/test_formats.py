@@ -52,6 +52,8 @@ def test_format_pair():
         ("0^2 | 1", 0),
         ("7^0 | 7", 0),
         ("7 1", 3),  # missing separator, reported at end
+        ("1 | 1\n", 4),  # a newline is not part of a token
+        ("1\n 2 | 3", 0),
     ],
 )
 def test_parse_errors_carry_positions(text, column):
