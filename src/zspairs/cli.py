@@ -15,24 +15,9 @@ import sys
 
 from . import __version__
 from .cache import entry_path, load_report, store_report
-from .core import Pair
-from .derivation import (
-    DerivationError,
-    DerivationPlan,
-    allocate_marbles,
-    derive,
-    derive_chain,
-    derive_product,
-    split_index,
-)
-from .enumeration import (
-    EnumConfig,
-    compute_ell,
-    enumerate_irreducible,
-    enumerate_multisets,
-    extremal_pairs,
-    verify_theorem_bounds,
-)
+from .checks import allocation_sweep, bounds_sweep, derivation_sweep, oracle_sweep
+from .derivation import DerivationError, DerivationPlan, derive_chain, derive_product
+from .enumeration import EnumConfig, compute_ell, enumerate_irreducible, extremal_pairs
 from .formats import (
     FormatError,
     format_multiset,
@@ -42,7 +27,7 @@ from .formats import (
     parse_pair,
     parse_plan,
 )
-from .irreducibility import is_irreducible, is_irreducible_naive, reducibility_witness
+from .irreducibility import is_irreducible, reducibility_witness
 
 _REPORT_SEPARATORS = (",", ":")
 
@@ -144,80 +129,20 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    """Reduced-scale sanity suites: oracle agreement, derivation
-    preservation, and allocation invariants."""
-    ok = True
-
-    mismatches = 0
-    checked = 0
-    for total in range(1, 11):
-        msets = list(enumerate_multisets(5, total))
-        for i, a in enumerate(msets):
-            for b in msets[i:]:
-                p = Pair(a, b)
-                checked += 1
-                if is_irreducible(p) != is_irreducible_naive(p):
-                    mismatches += 1
-    ok &= mismatches == 0
-    print(
-        f"oracle-equivalence: {'ok' if mismatches == 0 else 'FAIL'} "
-        f"({checked} pairs, {mismatches} mismatches)"
+    """Reduced-scale runs of acceptance sweeps c05-c08."""
+    rng = random.Random(20240901)  # shared: derivations draw first, then allocations
+    results = (
+        ("oracle-equivalence", "{} pairs, {} mismatches", oracle_sweep(5, 10)),
+        ("derivation-preservation", "{} samples, {} violations",
+         derivation_sweep(EnumConfig(k=5, sum_cap=25, mode="pruned"), 2000, rng)),
+        ("allocation-invariants", "{} instances, {} violations",
+         allocation_sweep(2000, rng, max_bins=5, max_value=9)),
+        ("length-bounds", "{1} violations",
+         bounds_sweep(EnumConfig(k=4, sum_cap=16, mode="brute"))),
     )
-
-    pool = [
-        p
-        for p in enumerate_irreducible(EnumConfig(k=5, sum_cap=25, mode="pruned"))
-        if p.length > 2
-    ]
-    rng = random.Random(20240901)
-    violations = 0
-    samples = 2000
-    for _ in range(samples):
-        p = rng.choice(pool)
-        a = rng.choice(p.a.values())
-        b = rng.choice(p.b.values())
-        derived = derive(p, a, b)
-        if not is_irreducible(derived):
-            violations += 1
-        if derived.max_element > p.max_element:
-            violations += 1
-    ok &= violations == 0
-    print(
-        f"derivation-preservation: {'ok' if violations == 0 else 'FAIL'} "
-        f"({samples} samples, {violations} violations)"
-    )
-
-    bad = 0
-    trials = 2000
-    for _ in range(trials):
-        n = rng.randint(1, 5)
-        x = [rng.randint(1, 9) for _ in range(n)]
-        y = [rng.randint(1, min(9, sum(x)))]
-        while sum(y) <= sum(x):
-            y.append(rng.randint(1, 9))
-        t = split_index(x, y)
-        alloc = allocate_marbles(x, y, t)
-        col = [sum(alloc.z[i][j] for i in range(n)) for j in range(t)]
-        if col != y[:t]:
-            bad += 1
-        if any(r < 0 for r in alloc.residuals()):
-            bad += 1
-        if not y[t] > sum(alloc.residuals()):
-            bad += 1
-    ok &= bad == 0
-    print(
-        f"allocation-invariants: {'ok' if bad == 0 else 'FAIL'} "
-        f"({trials} instances, {bad} violations)"
-    )
-
-    bounds_bad = sum(
-        0 if verify_theorem_bounds(p) else 1
-        for p in enumerate_irreducible(EnumConfig(k=4, sum_cap=16, mode="brute"))
-    )
-    ok &= bounds_bad == 0
-    print(f"length-bounds: {'ok' if bounds_bad == 0 else 'FAIL'} ({bounds_bad} violations)")
-
-    return 0 if ok else 1
+    for name, detail, (n, bad) in results:
+        print(f"{name}: {'ok' if bad == 0 else 'FAIL'} ({detail.format(n, bad)})")
+    return 0 if all(bad == 0 for _, _, (_, bad) in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

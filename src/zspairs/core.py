@@ -118,22 +118,6 @@ class Multiset:
             for _ in range(c):
                 yield v
 
-    def remove(self, value: int, count: int = 1) -> Multiset:
-        """A copy with `count` copies of `value` removed.
-
-        Raises EmptyError if nothing would remain, KeyError if the
-        multiset holds fewer than `count` copies.
-        """
-        if self.count_of(value) < count:
-            raise KeyError(f"fewer than {count} copies of {value}")
-        out = []
-        for v, c in self.runs:
-            if v == value:
-                c -= count
-            if c > 0:
-                out.append((v, c))
-        return Multiset(tuple(out))
-
 
 def normalize(raw: Iterable[tuple[int, int]]) -> Multiset:
     """Build a canonical Multiset from arbitrary (value, count) items.

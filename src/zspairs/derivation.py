@@ -102,25 +102,11 @@ def derive(p: Pair, a: int, b: int) -> Pair:
         raise NoSuchElementError(f"no copy of {b} in the second multiset")
     if a == b:
         raise EqualValuesError(f"cannot derive with equal values {a}")
-    if a > b:
-        if p.b.cardinality == 1:
-            raise TooSmallError("derivation would empty the second multiset")
-        c = _swap_one(p.a, a, a - b)
-        d = p.b.remove(b)
-    else:
-        if p.a.cardinality == 1:
-            raise TooSmallError("derivation would empty the first multiset")
-        c = p.a.remove(a)
-        d = _swap_one(p.b, b, b - a)
-    return pair_canonical(c, d)
-
-
-def _swap_one(ms: Multiset, old: int, new: int) -> Multiset:
-    # remove one copy of old, insert one copy of new
-    counts = {v: c for v, c in ms.runs}
-    counts[old] -= 1
-    counts[new] = counts.get(new, 0) + 1
-    return Multiset(tuple(sorted(((v, c) for v, c in counts.items() if c), reverse=True)))
+    if a > b and p.b.cardinality == 1:
+        raise TooSmallError("derivation would empty the second multiset")
+    if a < b and p.a.cardinality == 1:
+        raise TooSmallError("derivation would empty the first multiset")
+    return _apply(p, ((a, b, 1),))
 
 
 def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
@@ -136,9 +122,15 @@ def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
     for a, b, _ in plan.steps:
         if a == b:
             raise EqualValuesError(f"cannot derive with equal values {a}")
+    return _apply(p, plan.steps)
+
+
+def _apply(p: Pair, steps: tuple[tuple[int, int, int], ...]) -> Pair:
+    # Feasibility (A, then B) is checked before emptiness (A, then B):
+    # that fixes which error a plan failing both ways raises.
     need_a: dict[int, int] = {}
     need_b: dict[int, int] = {}
-    for a, b, count in plan.steps:
+    for a, b, count in steps:
         need_a[a] = need_a.get(a, 0) + count
         need_b[b] = need_b.get(b, 0) + count
     for value, need in need_a.items():
@@ -155,13 +147,13 @@ def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
                 f"plan consumes {need} copies of {value} from the second "
                 f"multiset, which holds {have}"
             )
-    new_a = {v: c for v, c in p.a.runs}
-    new_b = {v: c for v, c in p.b.runs}
+    new_a = dict(p.a.runs)
+    new_b = dict(p.b.runs)
     for value, need in need_a.items():
         new_a[value] -= need
     for value, need in need_b.items():
         new_b[value] -= need
-    for a, b, count in plan.steps:
+    for a, b, count in steps:
         if a > b:
             new_a[a - b] = new_a.get(a - b, 0) + count
         else:

@@ -100,7 +100,7 @@ def pair_from_obj(obj: Any) -> Pair:
     for key in ("A", "B"):
         runs = obj[key]
         if not isinstance(runs, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r)
             for r in runs
         ):
             raise FormatError(f'key "{key}" must be a list of [value, count] pairs')

@@ -43,9 +43,6 @@ class SumSet:
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and (self.achievable >> s) & 1 == 1
 
-    def sums(self) -> list[int]:
-        return [s for s in range(self.total + 1) if (self.achievable >> s) & 1]
-
 
 def _fold_run(bits: int, value: int, count: int) -> int:
     # Binary splitting: chunks 1, 2, 4, ... cover every take in [0, count].

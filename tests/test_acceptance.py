@@ -16,24 +16,16 @@ from zspairs import (
     DerivationPlan,
     EnumConfig,
     NoSuchElementError,
-    Pair,
     compute_ell,
-    derive,
     derive_chain,
     derive_product,
     enumerate_irreducible,
-    enumerate_multisets,
     extremal_construction,
     extremal_pairs,
     is_irreducible,
-    is_irreducible_naive,
-    normalize,
-    pair_canonical,
     pair_to_json,
-    split_index,
-    allocate_marbles,
-    verify_theorem_bounds,
 )
+from zspairs.checks import allocation_sweep, bounds_sweep, derivation_sweep, oracle_sweep
 from helpers import pair
 
 
@@ -84,16 +76,7 @@ def test_c04_order_dependence_of_chains():
 def test_c05_oracle_equivalence_exhaustive():
     with criterion(5, "engine agrees with naive oracle, values<=7 sums<=14"):
         started = time.perf_counter()
-        disagreements = 0
-        checked = 0
-        for total in range(1, 15):
-            candidates = list(enumerate_multisets(7, total))
-            for i, a in enumerate(candidates):
-                for b in candidates[i:]:
-                    p = Pair(a, b)
-                    checked += 1
-                    if is_irreducible(p) != is_irreducible_naive(p):
-                        disagreements += 1
+        checked, disagreements = oracle_sweep(7, 14)
         elapsed = time.perf_counter() - started
         assert disagreements == 0
         assert checked > 10_000
@@ -102,66 +85,24 @@ def test_c05_oracle_equivalence_exhaustive():
 
 def test_c06_derivations_preserve_irreducibility():
     with criterion(6, "10^4 sampled derivations preserve irreducibility"):
-        pool = [
-            p
-            for p in enumerate_irreducible(EnumConfig(k=7, sum_cap=49, mode="pruned"))
-            if p.length > 2
-        ]
-        assert pool
+        cfg = EnumConfig(k=7, sum_cap=49, mode="pruned")
         rng = random.Random(20240817)
-        violations = 0
-        for _ in range(10_000):
-            p = rng.choice(pool)
-            a = rng.choice(p.a.values())
-            b = rng.choice(p.b.values())
-            first = dict(p.a.runs)
-            second = dict(p.b.runs)
-            first[a] -= 1
-            second[b] -= 1
-            if a > b:
-                first[a - b] = first.get(a - b, 0) + 1
-            else:
-                second[b - a] = second.get(b - a, 0) + 1
-            raw = pair_canonical(normalize(first.items()), normalize(second.items()))
-            derived = derive(p, a, b)
-            if derived != raw:
-                violations += 1
-            if not is_irreducible(derived):
-                violations += 1
-            if max(v for v, c in first.items() if c) > p.a.max_value:
-                violations += 1
-            if max(v for v, c in second.items() if c) > p.b.max_value:
-                violations += 1
-        assert violations == 0
+        assert derivation_sweep(cfg, 10_000, rng) == (10_000, 0)
 
 
 def test_c07_allocation_invariants():
     with criterion(7, "10^4 random allocations meet all invariants exactly"):
         rng = random.Random(20240818)
-        violations = 0
-        for _ in range(10_000):
-            x = [rng.randint(1, 12) for _ in range(rng.randint(1, 7))]
-            y = [rng.randint(1, min(12, sum(x)))]
-            while sum(y) <= sum(x):
-                y.append(rng.randint(1, 12))
-            t = split_index(x, y)
-            alloc = allocate_marbles(x, y, t)
-            for j in range(t):
-                if sum(row[j] for row in alloc.z) != y[j]:
-                    violations += 1
-            for i, row in enumerate(alloc.z):
-                if row[t] != x[i] - sum(row[:t]) or row[t] < 0:
-                    violations += 1
-            if not y[t] > sum(alloc.residuals()):
-                violations += 1
-        assert violations == 0
+        assert allocation_sweep(10_000, rng, max_bins=7, max_value=12) == (10_000, 0)
 
 
 def test_c08_length_bounds_hold_on_brute_sweep():
     with criterion(8, "every brute-found pair satisfies the length bounds"):
         for k in range(1, 7):
-            for p in enumerate_irreducible(EnumConfig(k=k, sum_cap=k * k, mode="brute")):
-                assert verify_theorem_bounds(p), (k, p)
+            checked, violations = bounds_sweep(
+                EnumConfig(k=k, sum_cap=k * k, mode="brute")
+            )
+            assert checked > 0 and violations == 0, (k, checked, violations)
 
 
 def test_c09_brute_and_pruned_agree():

@@ -185,21 +185,6 @@ class TestExtremalConstruction:
 
 
 class TestMultisetOps:
-    def test_remove(self):
-        m = ms(7, 7, 1)
-        assert m.remove(7) == ms(7, 1)
-        assert m.remove(7, 2) == ms(1)
-
-    def test_remove_too_many(self):
-        with pytest.raises(KeyError):
-            ms(7, 1).remove(7, 2)
-        with pytest.raises(KeyError):
-            ms(7, 1).remove(3)
-
-    def test_remove_all_rejected(self):
-        with pytest.raises(EmptyError):
-            ms(5).remove(5)
-
     def test_count_and_contains(self):
         m = ms(7, 7, 1)
         assert m.count_of(7) == 2

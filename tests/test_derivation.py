@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zspairs import (
@@ -135,6 +135,20 @@ class TestDeriveProduct:
     def test_single_step_plan_matches_derive(self):
         p = pair((7, 7, 7, 1, 1), (6, 6, 6, 5))
         assert derive_product(p, DerivationPlan.of([(7, 5, 1)])) == derive(p, 7, 5)
+
+    @given(balanced_pairs(), st.data())
+    def test_derive_is_a_one_step_product(self, p, data):
+        a = data.draw(st.sampled_from(p.a.values()))
+        b = data.draw(st.sampled_from(p.b.values()))
+        assume(a != b and p.length > 2)
+        assume((p.b if a > b else p.a).cardinality > 1)
+        assert derive(p, a, b) == derive_product(p, DerivationPlan(((a, b, 1),)))
+
+    def test_infeasibility_is_checked_before_emptiness(self):
+        # Both steps consume all of A (a < b), and B holds no 6.
+        p = pair((5, 2), (4, 3))
+        with pytest.raises(InfeasiblePlanError):
+            derive_product(p, DerivationPlan.of([(5, 6, 1), (2, 6, 1)]))
 
     def test_plan_of_merges_duplicates(self):
         plan = DerivationPlan.of([(7, 6, 1), (7, 6, 1), (7, 5, 0)])

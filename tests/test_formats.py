@@ -70,14 +70,16 @@ def test_json_round_trip():
 
 
 def test_json_rejects_bad_shapes():
-    with pytest.raises(FormatError):
-        pair_from_json('{"A":[[7,3]]}')
-    with pytest.raises(FormatError):
-        pair_from_json('{"A":[[7,3]],"B":[[6]]}')
-    with pytest.raises(FormatError):
-        pair_from_json("[1,2]")
-    with pytest.raises(FormatError):
-        pair_from_json("not json")
+    for text in (
+        '{"A":[[7,3]]}',
+        '{"A":[[7,3]],"B":[[6]]}',
+        "[1,2]",
+        "not json",
+        '{"A":[[true,1]],"B":[[1,1]]}',  # bool is an int subclass in Python
+        '{"A":[[1,1]],"B":[[1,true]]}',
+    ):
+        with pytest.raises(FormatError):
+            pair_from_json(text)
 
 
 def test_parse_plan():

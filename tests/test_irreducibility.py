@@ -34,23 +34,25 @@ class TestProperSubsetSums:
     def test_two_equal_elements(self):
         s = proper_subset_sums(ms(5, 5))
         assert s.total == 10
-        assert s.sums() == [0, 5, 10]
+        assert {x for x in range(s.total + 1) if x in s} == {0, 5, 10}
 
     def test_multiples(self):
         s = proper_subset_sums(ms(2, 2, 2, 2, 2))
-        assert s.sums() == [0, 2, 4, 6, 8, 10]
+        assert {x for x in range(s.total + 1) if x in s} == {0, 2, 4, 6, 8, 10}
 
     def test_against_brute_force(self):
         # Frozen from the 2^4 enumeration of {6,6,6,5}.
         assert subset_sums_by_force([6, 6, 6, 5]) == {0, 5, 6, 11, 12, 17, 18, 23}
-        assert proper_subset_sums(ms(6, 6, 6, 5)).sums() == [
+        s = proper_subset_sums(ms(6, 6, 6, 5))
+        assert {x for x in range(s.total + 1) if x in s} == {
             0, 5, 6, 11, 12, 17, 18, 23,
-        ]
+        }
 
     @given(multisets)
     def test_matches_oracle(self, m):
         s = proper_subset_sums(m)
-        assert set(s.sums()) == subset_sums_by_force(list(m.elements()))
+        sums = {x for x in range(s.total + 1) if x in s}
+        assert sums == subset_sums_by_force(list(m.elements()))
 
     @given(multisets)
     def test_boundary_bits(self, m):
