@@ -31,7 +31,11 @@ def entry_path(k: int, mode: str, sum_cap: int) -> Path:
 
 
 def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | None:
-    """The cached report for this exact key and version, or None."""
+    """The cache entry for this exact key and version, or None.
+
+    The entry is the stored object: its "report" (always a dict here),
+    "created_at" and "tool_version".
+    """
     path = entry_path(k, mode, sum_cap)
     try:
         data = json.loads(path.read_text())
@@ -43,8 +47,7 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
         return None
     if data.get("key") != {"k": k, "mode": mode, "sum_cap": sum_cap}:
         return None
-    report = data.get("report")
-    return report if isinstance(report, dict) else None
+    return data if isinstance(data.get("report"), dict) else None
 
 
 def store_report(

@@ -71,9 +71,13 @@ def cmd_ell(args: argparse.Namespace) -> int:
     if not args.no_cache:
         cached = load_report(cfg.k, cfg.mode, cfg.sum_cap, __version__)
         if cached is not None:
-            _print_report(cached)
+            _print_report(cached["report"])
+            # Provenance: the wall_time in the report is the original run's.
             print(
-                f"cache: hit {entry_path(cfg.k, cfg.mode, cfg.sum_cap)}",
+                f"cache: hit {entry_path(cfg.k, cfg.mode, cfg.sum_cap)}"
+                f" created_at={cached.get('created_at')}"
+                f" version={cached['tool_version']}"
+                f" wall_time={cached['report'].get('wall_time')}",
                 file=sys.stderr,
             )
             return 0

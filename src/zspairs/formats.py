@@ -55,12 +55,17 @@ def parse_multiset(text: str, offset: int = 0) -> Multiset:
             raise FormatError(f"expected value^count, got {tok!r}", pos)
         value = int(m.group(1))
         count = int(m.group(2)) if m.group(2) else 1
-        if value <= 0:
-            raise FormatError(f"value must be positive, got {value}", pos)
-        if count <= 0:
-            raise FormatError(f"count must be positive, got {count}", pos)
+        _check_run(value, count, pos)
         raw.append((value, count))
     return normalize(raw)
+
+
+def _check_run(value: int, count: int, pos: int = 0) -> None:
+    # The text and JSON grammars reject the same runs with the same words.
+    if value <= 0:
+        raise FormatError(f"value must be positive, got {value}", pos)
+    if count <= 0:
+        raise FormatError(f"count must be positive, got {count}", pos)
 
 
 def parse_pair(text: str) -> Pair:
@@ -68,13 +73,13 @@ def parse_pair(text: str) -> Pair:
     if "|" not in text:
         raise FormatError("missing '|' between the two multisets", len(text))
     left, _, right = text.partition("|")
-    a = parse_multiset(left.rstrip())
-    b = parse_multiset(right.lstrip(), offset=len(left) + 1 + _lead_ws(right))
+    # Only spaces separate, around `|` as between runs, so a tab or newline
+    # stays in its token and is reported there.  An empty B is reported at
+    # the end of the text.
+    b_text = right.lstrip(" ")
+    a = parse_multiset(left)
+    b = parse_multiset(b_text, offset=len(text) - len(b_text))
     return pair_canonical(a, b)
-
-
-def _lead_ws(s: str) -> int:
-    return len(s) - len(s.lstrip())
 
 
 def format_multiset(ms: Multiset) -> str:
@@ -104,6 +109,10 @@ def pair_from_obj(obj: Any) -> Pair:
             for r in runs
         ):
             raise FormatError(f'key "{key}" must be a list of [value, count] pairs')
+        if not runs:
+            raise FormatError("expected a multiset, got nothing")
+        for value, count in runs:
+            _check_run(value, count)
         sides.append(normalize((v, c) for v, c in runs))
     return pair_canonical(sides[0], sides[1])
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 from hypothesis import strategies as st
 
 from zspairs import (
@@ -13,6 +15,7 @@ from zspairs import (
     pair_canonical,
     proper_subset_sums,
 )
+from zspairs.core import MAX_VALUE
 
 
 def ms(*elements: int) -> Multiset:
@@ -43,6 +46,79 @@ def balanced_pairs(draw) -> Pair:
         remaining -= part
     b = normalize([(v, 1) for v in parts])
     return pair_canonical(a, b)
+
+
+def shared_sum_reference(p: Pair) -> int | None:
+    """The smallest shared interior sum of a balanced pair from full-width
+    folds: the smallest set bit of sums(A) & sums(B) & bits 1..S-1."""
+    shared = (
+        proper_subset_sums(p.a).achievable
+        & proper_subset_sums(p.b).achievable
+        & ((1 << p.a.sigma) - 2)
+    )
+    return (shared & -shared).bit_length() - 1 if shared else None
+
+
+def extract_reference(m: Multiset, target: int) -> Multiset:
+    """The witness rule at full width: walk the runs from the largest value
+    and take as many copies as leave `target` reachable from the rest."""
+    taken = []
+    remaining = target
+    for i, (value, count) in enumerate(m.runs):
+        rest = m.runs[i + 1:]
+        rest_sums = proper_subset_sums(Multiset(rest)).achievable if rest else 1
+        take = min(count, remaining // value)
+        while take > 0 and not (rest_sums >> (remaining - take * value)) & 1:
+            take -= 1
+        if take > 0:
+            taken.append((value, take))
+            remaining -= take * value
+    assert remaining == 0
+    return Multiset(tuple(taken))
+
+
+def _coprime_split(t: int) -> list[tuple[int, int]]:
+    return [
+        (a, t // a)
+        for a in range(1, int(t**0.5) + 1)
+        if t % a == 0 and gcd(a, t // a) == 1
+    ]
+
+
+@st.composite
+def boundary_pairs(draw) -> Pair:
+    """a^(b*m) | b^(a*m) with gcd(a, b) = 1 and a*b = t near a search width
+    (4096, 65536): the shared sums are the multiples of t, so the smallest
+    is t when m >= 2, and m = 1 is irreducible.  An optional element e
+    near t on both sides changes the parity of S and, with m = 1, usually
+    puts the smallest shared sum, min(e, t), at or just below S // 2."""
+    t = draw(st.sampled_from((4096, 65536))) + draw(st.integers(-2, 2))
+    a, b = draw(st.sampled_from(_coprime_split(t)))
+    m = draw(st.integers(1, 3))
+    xs, ys = [(a, b * m)], [(b, a * m)]
+    if draw(st.booleans()):
+        e = t + draw(st.integers(-3, 3))
+        xs.append((e, 1))
+        ys.append((e, 1))
+    return pair_canonical(normalize(xs), normalize(ys))
+
+
+@st.composite
+def wide_pairs(draw) -> Pair:
+    """Random runs with values up to MAX_VALUE on both sides, the lighter
+    side topped up with elements of at most MAX_VALUE to balance it."""
+    sides = [
+        draw(st.lists(st.tuples(st.integers(1, MAX_VALUE), st.integers(1, 3)),
+                      min_size=1, max_size=4))
+        for _ in range(2)
+    ]
+    diff = sum(v * c for v, c in sides[0]) - sum(v * c for v, c in sides[1])
+    light = sides[1] if diff > 0 else sides[0]
+    diff = abs(diff)
+    while diff > 0:
+        light.append((min(diff, MAX_VALUE), 1))
+        diff -= MAX_VALUE
+    return pair_canonical(normalize(sides[0]), normalize(sides[1]))
 
 
 def scan_sum_reference(k: int, total: int, mode: str):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,16 @@ class TestCheck:
         assert "irreducible: false" in out
         assert "unbalanced: sum 3 != 2" in out
         assert "witness" not in out
+
+    def test_reducible_pair_near_max_sigma(self, capsys):
+        # Sigma 2,000,000,001: the smallest shared sum is 1, so neither the
+        # check nor the witness folds anywhere near sigma bits.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "1000000^2000 1 | 999999^2000 1^2001")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == "irreducible: false\nk-threshold: 1000000\nwitness: 1 | 1\n"
+        assert err == ""
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "2^x | 1")
@@ -125,6 +136,19 @@ class TestEll:
         assert code2 == 0
         assert "cache: hit" in err2
         assert out2 == out1  # byte-identical report
+
+    def test_cache_hit_names_its_provenance(self, capsys, isolated_cache):
+        _, out1, _ = run(capsys, "ell", "3")
+        data = json.loads(next(isolated_cache.glob("*.json")).read_text())
+        code, out2, err = run(capsys, "ell", "3")
+        assert code == 0
+        assert out2 == out1
+        path = next(isolated_cache.glob("*.json"))
+        assert err == (
+            f"cache: hit {path} created_at={data['created_at']}"
+            f" version={data['tool_version']}"
+            f" wall_time={json.loads(out1)['wall_time']}\n"
+        )
 
     def test_cache_versioning(self, capsys, isolated_cache):
         run(capsys, "ell", "2")

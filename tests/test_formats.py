@@ -54,6 +54,11 @@ def test_format_pair():
         ("7 1", 3),  # missing separator, reported at end
         ("1 | 1\n", 4),  # a newline is not part of a token
         ("1\n 2 | 3", 0),
+        # Only spaces separate, next to `|` as between runs.
+        ("1\t| 1", 0),
+        ("1\n| 1", 0),
+        ("1 |\t1", 3),
+        ("\t1 | 1", 0),
     ],
 )
 def test_parse_errors_carry_positions(text, column):
@@ -70,15 +75,21 @@ def test_json_round_trip():
 
 
 def test_json_rejects_bad_shapes():
-    for text in (
-        '{"A":[[7,3]]}',
-        '{"A":[[7,3]],"B":[[6]]}',
-        "[1,2]",
-        "not json",
-        '{"A":[[true,1]],"B":[[1,1]]}',  # bool is an int subclass in Python
-        '{"A":[[1,1]],"B":[[1,true]]}',
+    # Runs the text grammar rejects are rejected with its messages.
+    for text, message in (
+        ('{"A":[[7,3]]}', None),
+        ('{"A":[[7,3]],"B":[[6]]}', None),
+        ("[1,2]", None),
+        ("not json", None),
+        ('{"A":[[true,1]],"B":[[1,1]]}', None),  # bool is an int subclass in Python
+        ('{"A":[[1,1]],"B":[[1,true]]}', None),
+        ('{"A":[[5,0],[1,1]],"B":[[1,1]]}', "count must be positive, got 0"),
+        ('{"A":[[1,1]],"B":[[1,-2]]}', "count must be positive, got -2"),
+        ('{"A":[[-5,1]],"B":[[1,1]]}', "value must be positive, got -5"),
+        ('{"A":[[1,1]],"B":[[0,1]]}', "value must be positive, got 0"),
+        ('{"A":[],"B":[[1,1]]}', "expected a multiset, got nothing"),
     ):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=message):
             pair_from_json(text)
 
 

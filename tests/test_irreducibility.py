@@ -3,7 +3,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zspairs import (
     Pair,
@@ -12,10 +13,21 @@ from zspairs import (
     is_irreducible,
     is_irreducible_naive,
     normalize,
+    parse_pair,
     proper_subset_sums,
     reducibility_witness,
 )
-from helpers import balanced_pairs, ms, multisets, pair
+from zspairs.irreducibility import _subset_sums
+from helpers import (
+    balanced_pairs,
+    boundary_pairs,
+    extract_reference,
+    ms,
+    multisets,
+    pair,
+    shared_sum_reference,
+    wide_pairs,
+)
 
 
 def subset_sums_by_force(elements):
@@ -155,3 +167,56 @@ class TestWitness:
         for sub, parent in ((w.a_sub, p.a), (w.b_sub, p.b)):
             assert all(parent.count_of(v) >= c for v, c in sub.runs)
             assert sub != parent
+
+
+def assert_matches_reference(p):
+    target = shared_sum_reference(p) if p.balanced else None
+    assert is_irreducible(p) == (p.balanced and target is None)
+    w = reducibility_witness(p)
+    if target is None:
+        assert w is None
+    else:
+        assert w.a_sub == extract_reference(p.a, target)
+        assert w.b_sub == extract_reference(p.b, target)
+    return target
+
+
+class TestBoundedWidthSearch:
+    """The truncated, growing-width search against full-width folds."""
+
+    @given(multisets, st.data())
+    def test_truncated_fold_is_the_sums_below_its_width(self, m, data):
+        width = data.draw(st.integers(1, m.sigma + 1))
+        full = proper_subset_sums(m).achievable
+        assert _subset_sums(m, width) == full & ((1 << width) - 1)
+
+    @settings(deadline=None)
+    @given(st.one_of(balanced_pairs(), boundary_pairs(), wide_pairs()))
+    def test_matches_full_width_reference(self, p):
+        assert_matches_reference(p)
+
+    @pytest.mark.parametrize(
+        "text,target",
+        [
+            # Around the first width, 4096: S // 2 + 1 is 4096 and larger.
+            ("4095^2 | 1^8190", 4095),
+            ("4096^2 | 1^8192", 4096),
+            ("4097^2 | 1^8194", 4097),
+            ("4097^3 | 1^12291", 4097),
+            # Around the second width, 65536.
+            ("65535^2 | 1^131070", 65535),
+            ("65536^2 | 1^131072", 65536),
+            ("65537^10 | 1^655370", 65537),
+            # At and just below S // 2, for odd and even S.
+            ("4096 4095 | 1^8191", 4095),
+            ("4097 4095 | 1^8192", 4095),
+            ("65536 65535 | 1^131071", 65535),
+            ("65537 65535 | 1^131072", 65535),
+            # Irreducible: the search runs up to the half.
+            ("91^90 | 90^91", None),
+            ("92^91 | 91^92", None),
+            ("257^256 | 256^257", None),
+        ],
+    )
+    def test_boundaries(self, text, target):
+        assert assert_matches_reference(parse_pair(text)) == target
