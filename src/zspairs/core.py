@@ -50,6 +50,11 @@ class KTooSmallError(ValueError):
     """The requested alphabet bound k admits no such construction."""
 
 
+class ResourceLimitError(ValueError):
+    """The requested work is beyond a fixed budget: a survey k above its
+    mode's limit, or a check whose next subset-sum fold is too large."""
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Multiset:
     """A nonempty multiset of positive integers, stored as (value, count)

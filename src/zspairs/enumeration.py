@@ -36,18 +36,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import KTooSmallError, Multiset, Pair
+from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
 from .formats import pair_to_obj
-from .irreducibility import _fold_run, _interior_mask
+from .irreducibility import _fold_run
 
 BRUTE_MAX_K = 6
 PRUNED_MAX_K = 9
 
 _MODES = ("brute", "pruned")
-
-
-class ResourceLimitError(ValueError):
-    """k is beyond what the chosen mode can scan in reasonable time."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,8 @@ def _scan_sum(k: int, total: int, mode: str):
     # partitions with at most k parts.
     max_len = k if mode == "pruned" else total
     runs_list = list(_partitions(total, min(k, total), max_len))
-    interior = _interior_mask(total)
+    # Bits 1 .. total-1: sums of proper nonempty submultisets.
+    interior = (1 << total) - 2
     masks = []
     for runs in runs_list:
         bits = 1

@@ -15,45 +15,47 @@ binary-split shift-ors, giving word-parallel exact arithmetic.  A fold
 may be truncated to a width W: it then holds exactly the achievable sums
 below W, and takes of a value that would reach W are never shifted in.
 
-The check and the witness both start from the smallest shared interior
-sum, and never fold at the full width S.  Complementation maps a shared
-s to the shared S - s, so the smallest one, if any, is at most S // 2,
-and the search stops at width S // 2 + 1.  It starts at width
-min(S // 2 + 1, 4096) and grows sixteenfold until the truncated sum sets
-share a bit in 1 .. W - 1 or the half is reached: a reducible pair costs
-folds about as wide as its smallest shared sum, an irreducible one about
-S / 2 bits.  The witness is then extracted from suffix folds of width
-target + 1, which decide every greedy step exactly.
+A balanced pair is first divided by the gcd g of all its values.  Every
+submultiset sum scales by 1/g, so the verdict is unchanged and the
+witness is the reduced pair's witness times g.  Then residues: every sum
+of a side x is a multiple of h = gcd(x), so if the other side y has no
+proper nonempty submultiset with sum 0 mod h, no sum is shared and the
+pair is irreducible.  If x is a single run h^m, its interior sums are
+exactly the multiples of h inside (0, S), so the converse holds too and
+the test decides the pair: it is the zero-sum-free question over Z_h.
+Because y sums to 0 mod h, a proper zero-sum and its complement both
+are, and one of them avoids a chosen copy of y's largest value; so the
+test is one h-bit rotating fold of y less that copy, which stops at the
+first zero-sum.  h is at most MAX_VALUE.
+
+Pairs the residue test leaves open go to a search for the smallest
+shared interior sum, which never folds at the full width S.
+Complementation maps a shared s to the shared S - s, so the smallest
+one, if any, is at most S // 2, and the search stops at width
+S // 2 + 1.  It starts at width min(S // 2 + 1, 4096) and grows
+sixteenfold until the truncated sum sets share a bit in 1 .. W - 1 or
+the half is reached: a reducible pair costs folds about as wide as its
+smallest shared sum, an irreducible one about S / 2 bits.  Before each
+widened fold the search estimates its work, shifts times width summed
+over both sides, and raises ResourceLimitError when that exceeds a fixed
+budget of 2**32 (such a fold takes about 0.4 s on a 2-vCPU VM).  The
+witness is then extracted from suffix folds of width target + 1, which
+decide every greedy step exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
-from .core import Multiset, Pair
+from .core import Multiset, Pair, ResourceLimitError
 
 NAIVE_LENGTH_LIMIT = 30
 
 
 class TooLargeError(ValueError):
     """The naive oracle refuses pairs beyond its exponential-work guard."""
-
-
-@dataclass(frozen=True, slots=True)
-class SumSet:
-    """Achievable submultiset sums of a multiset with total sum `total`.
-
-    Bit s of `achievable` is set iff some submultiset sums to s.  Bits 0
-    and `total` are always set (the empty and full submultisets), and the
-    bit pattern is symmetric under s -> total - s (complementation).
-    """
-
-    total: int
-    achievable: int
-
-    def __contains__(self, s: int) -> bool:
-        return 0 <= s <= self.total and (self.achievable >> s) & 1 == 1
 
 
 def _fold_run(bits: int, value: int, count: int, width: int | None = None) -> int:
@@ -77,25 +79,27 @@ def _subset_sums(ms: Multiset, width: int | None = None) -> int:
     return bits
 
 
-def proper_subset_sums(ms: Multiset) -> SumSet:
-    """All submultiset sums of ms, as a bit vector over [0, sigma]."""
-    return SumSet(ms.sigma, _subset_sums(ms))
-
-
-def _interior_mask(total: int) -> int:
-    # Bits 1 .. total-1: sums of proper nonempty submultisets.
-    return (1 << total) - 2 if total >= 1 else 0
-
-
 # First width of the shared-sum search and its growth factor.  A factor of
 # 2 made irreducible pairs (which reach the half) 25% slower; 16 did not.
 _FIRST_WIDTH = 4096
 _GROWTH = 16
+# Most work, in shifts times bits of width over both sides, that one
+# widened step of the search may take.
+_FOLD_BUDGET = 2**32
+
+
+def _fold_work(ms: Multiset, width: int) -> int:
+    """Shifts times width of a fold of ms truncated to width."""
+    return width * sum(min(c, (width - 1) // v).bit_length() for v, c in ms.runs)
 
 
 def _smallest_shared_sum(p: Pair) -> int | None:
     """The smallest s in (0, S) that both sides of a balanced pair reach
-    with a proper submultiset, or None when there is none."""
+    with a proper submultiset, or None when there is none.
+
+    Raises ResourceLimitError before a widened fold whose work is over
+    the budget.
+    """
     half = p.a.sigma // 2 + 1
     width = min(half, _FIRST_WIDTH)
     while True:
@@ -104,7 +108,58 @@ def _smallest_shared_sum(p: Pair) -> int | None:
             return (shared & -shared).bit_length() - 1
         if width == half:
             return None
-        width = min(width * _GROWTH, half)
+        below, width = width, min(width * _GROWTH, half)
+        work = _fold_work(p.a, width) + _fold_work(p.b, width)
+        if work > _FOLD_BUDGET:
+            raise ResourceLimitError(
+                f"no shared sum below {below}, and the next subset-sum fold "
+                f"needs {work} shift-bits, over the budget of {_FOLD_BUDGET}"
+            )
+
+
+def _zero_sum_mod(ms: Multiset, h: int) -> bool:
+    """True iff ms, whose sum is 0 mod h, has a proper nonempty
+    submultiset with sum 0 mod h; that is, iff ms less one copy of its
+    largest value has a nonempty one.
+
+    Bit r of `reach` marks a nonempty submultiset of the elements folded
+    so far with sum r mod h; binary-split chunks stand in for the copies
+    of a run.
+    """
+    ring = (1 << h) - 1
+    reach = 0
+    for i, (value, count) in enumerate(ms.runs):
+        if i == 0:
+            count -= 1
+        chunk = 1
+        while count > 0:
+            take = min(chunk, count)
+            x = value * take % h
+            reach |= ((reach << x | reach >> (h - x)) & ring) | 1 << x
+            if reach & 1:
+                return True
+            count -= take
+            chunk <<= 1
+    return False
+
+
+def _reduce(p: Pair) -> tuple[int, Pair, bool | None]:
+    """Divide a balanced pair by the gcd g of its values and try the
+    residue test on each side: (g, p / g, the verdict or None if the
+    test leaves it open)."""
+    ha = gcd(*[v for v, _ in p.a.runs])
+    hb = gcd(*[v for v, _ in p.b.runs])
+    g = gcd(ha, hb)
+    if g > 1:
+        p = Pair(*(Multiset(tuple((v // g, c) for v, c in m.runs)) for m in (p.a, p.b)))
+    for x, y, h in ((p.a, p.b, ha // g), (p.b, p.a, hb // g)):
+        single = len(x.runs) == 1
+        if h > 1 or single:
+            if not _zero_sum_mod(y, h):
+                return g, p, True
+            if single:
+                return g, p, False
+    return g, p, None
 
 
 def is_irreducible(p: Pair) -> bool:
@@ -112,9 +167,13 @@ def is_irreducible(p: Pair) -> bool:
 
     Unbalanced pairs are not irreducible by definition (the sums must
     agree), so they report False rather than raising; enumeration code
-    filters uniformly on the result.
+    filters uniformly on the result.  Raises ResourceLimitError when the
+    pair needs a search fold over the work budget.
     """
-    return p.balanced and _smallest_shared_sum(p) is None
+    if not p.balanced:
+        return False
+    _, p, verdict = _reduce(p)
+    return _smallest_shared_sum(p) is None if verdict is None else verdict
 
 
 def is_irreducible_naive(p: Pair) -> bool:
@@ -160,17 +219,21 @@ def reducibility_witness(p: Pair) -> ReducibilityWitness | None:
     None covers both irreducible pairs and unbalanced ones; `p.balanced`
     distinguishes the two cases.  The witness is deterministic: the
     smallest sum shared strictly inside (0, S), realised on each side by
-    taking as many copies of the larger values as possible.
+    taking as many copies of the larger values as possible.  Raises
+    ResourceLimitError when the search for that sum is over the budget.
     """
     if not p.balanced:
         return None
-    target = _smallest_shared_sum(p)
+    # Greedy takes on the reduced pair are the takes on p, scaled.
+    g, q, verdict = _reduce(p)
+    target = None if verdict else _smallest_shared_sum(q)
     if target is None:
         return None
-    return ReducibilityWitness(
-        a_sub=_extract_submultiset(p.a, target),
-        b_sub=_extract_submultiset(p.b, target),
+    a_sub, b_sub = (
+        Multiset(tuple((v * g, c) for v, c in _extract_submultiset(m, target).runs))
+        for m in (q.a, q.b)
     )
+    return ReducibilityWitness(a_sub=a_sub, b_sub=b_sub)
 
 
 def _extract_submultiset(ms: Multiset, target: int) -> Multiset:

@@ -13,7 +13,6 @@ from zspairs import (
     multiset,
     normalize,
     pair_canonical,
-    proper_subset_sums,
 )
 from zspairs.core import MAX_VALUE
 
@@ -48,12 +47,27 @@ def balanced_pairs(draw) -> Pair:
     return pair_canonical(a, b)
 
 
+def subset_sums_reference(m: Multiset) -> int:
+    """Every submultiset sum of m as the set bits of an int, over the full
+    width sigma + 1; independent of the package's folds."""
+    bits = 1
+    for value, count in m.runs:
+        # Copies in doubling chunks; their subsets give every take 0..count.
+        chunk = 1
+        while count > 0:
+            take = min(chunk, count)
+            bits |= bits << (value * take)
+            count -= take
+            chunk *= 2
+    return bits
+
+
 def shared_sum_reference(p: Pair) -> int | None:
     """The smallest shared interior sum of a balanced pair from full-width
     folds: the smallest set bit of sums(A) & sums(B) & bits 1..S-1."""
     shared = (
-        proper_subset_sums(p.a).achievable
-        & proper_subset_sums(p.b).achievable
+        subset_sums_reference(p.a)
+        & subset_sums_reference(p.b)
         & ((1 << p.a.sigma) - 2)
     )
     return (shared & -shared).bit_length() - 1 if shared else None
@@ -66,7 +80,7 @@ def extract_reference(m: Multiset, target: int) -> Multiset:
     remaining = target
     for i, (value, count) in enumerate(m.runs):
         rest = m.runs[i + 1:]
-        rest_sums = proper_subset_sums(Multiset(rest)).achievable if rest else 1
+        rest_sums = subset_sums_reference(Multiset(rest)) if rest else 1
         take = min(count, remaining // value)
         while take > 0 and not (rest_sums >> (remaining - take * value)) & 1:
             take -= 1
@@ -121,6 +135,47 @@ def wide_pairs(draw) -> Pair:
     return pair_canonical(normalize(sides[0]), normalize(sides[1]))
 
 
+@st.composite
+def residue_pairs(draw) -> Pair:
+    """Pairs for the residue test: one side x is a single run h^m, or h
+    times two or more random runs with h > 1; the other side y is random,
+    and the sides are padded to equal sums keeping every value of x a
+    multiple of h.  Values reach MAX_VALUE, and the whole pair may be
+    scaled by t so that its values share a gcd > 1."""
+    vmax = draw(st.sampled_from((9, 1000, MAX_VALUE)))
+    ys = draw(st.lists(st.tuples(st.integers(1, vmax), st.integers(1, 3)),
+                       min_size=1, max_size=4))
+    sy = sum(v * c for v, c in ys)
+    if draw(st.booleans()):
+        # At most 12,001 copies when vmax >= 1000.
+        h = draw(st.integers(max(1, vmax // 1000), vmax))
+        pad = -sy % h
+        if pad:
+            ys.append((pad, 1))
+        xs = [(h, (sy + pad) // h)]
+    else:
+        h = draw(st.integers(2, max(2, vmax // 9)))
+        units = draw(st.lists(st.tuples(st.integers(1, vmax // h or 1), st.integers(1, 3)),
+                              min_size=2, max_size=3, unique_by=lambda r: r[0]))
+        xs = [(h * u, c) for u, c in units]
+        pad = -sy % h
+        if pad:
+            ys.append((pad, 1))
+            sy += pad
+        diff = sy - sum(v * c for v, c in xs)
+        chunk = h * (MAX_VALUE // h)
+        side = xs if diff > 0 else ys
+        diff = abs(diff)
+        while diff > 0:
+            side.append((min(diff, chunk), 1))
+            diff -= chunk
+    top = max(v for v, _ in xs + ys)
+    t = draw(st.one_of(st.just(1), st.integers(1, MAX_VALUE // top)))
+    return pair_canonical(
+        normalize([(v * t, c) for v, c in xs]), normalize([(v * t, c) for v, c in ys])
+    )
+
+
 def scan_sum_reference(k: int, total: int, mode: str):
     """The all-pairs scan the join must reproduce: every same-sum
     candidate pair (i <= j) visited, pruned mode's exact predicates, then
@@ -132,7 +187,7 @@ def scan_sum_reference(k: int, total: int, mode: str):
         # Pruned mode's candidates: the same order, at most k elements.
         sides = [m for m in enumerate_multisets(k, total) if m.cardinality <= k]
     interior = (1 << total) - 2
-    masks = [proper_subset_sums(m).achievable & interior for m in sides]
+    masks = [subset_sums_reference(m) & interior for m in sides]
     cards = [m.cardinality for m in sides]
     maxima = [m.max_value for m in sides]
     valsets = [set(m.values()) for m in sides]

@@ -56,6 +56,36 @@ class TestCheck:
         assert out == "irreducible: false\nk-threshold: 1000000\nwitness: 1 | 1\n"
         assert err == ""
 
+    def test_single_run_pair_near_max_sigma(self, capsys):
+        # Sigma 2,147,441,940: A is a single run, so the verdict is whether
+        # B less one copy has a nonempty zero-sum mod 46341.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "46341^46340 | 46340^46341")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "irreducible: true\nk-threshold: 46341\n", "")
+
+    def test_single_run_against_many_runs(self, capsys):
+        # 1000^499501 | {1000 j + 1 : j < 1000}: every proper subset of B has
+        # a nonzero residue mod 1000, so the pair is irreducible.
+        b = " ".join(str(1000 * j + 1) for j in range(999, -1, -1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", f"1000^499501 | {b}")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, "irreducible: true\nk-threshold: 999001\n", "")
+
+    def test_fold_over_budget_fails_fast(self, capsys):
+        # Two runs a side, gcd 1, sigma 1,907,452,215, and no shared sum
+        # below 2^24: the search would next fold at 2^28 bits.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "853959^1192 782351^1137 | 916918^525 539157^2645"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no shared sum below 16777216")
+        assert err.count("\n") == 1
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "2^x | 1")
         assert code == 2

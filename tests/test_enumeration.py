@@ -84,6 +84,12 @@ class TestEnumConfig:
         with pytest.raises(ResourceLimitError):
             EnumConfig(k=7, mode="brute")
 
+    def test_one_resource_limit_class(self):
+        # The check's fold budget raises the same class, from core.
+        from zspairs import core
+        assert ResourceLimitError is enumeration.ResourceLimitError
+        assert ResourceLimitError is core.ResourceLimitError
+
     def test_pruned_limit(self):
         EnumConfig(k=9, mode="pruned")
         with pytest.raises(ResourceLimitError):

@@ -14,10 +14,9 @@ from zspairs import (
     is_irreducible_naive,
     normalize,
     parse_pair,
-    proper_subset_sums,
     reducibility_witness,
 )
-from zspairs.irreducibility import _subset_sums
+from zspairs.irreducibility import _reduce, _subset_sums
 from helpers import (
     balanced_pairs,
     boundary_pairs,
@@ -25,7 +24,9 @@ from helpers import (
     ms,
     multisets,
     pair,
+    residue_pairs,
     shared_sum_reference,
+    subset_sums_reference,
     wide_pairs,
 )
 
@@ -42,34 +43,36 @@ def subset_sums_by_force(elements):
     return out
 
 
+def sum_set(bits):
+    return {s for s in range(bits.bit_length()) if bits >> s & 1}
+
+
 class TestProperSubsetSums:
+    """The package's full-width fold, and the tests' reference fold."""
+
     def test_two_equal_elements(self):
-        s = proper_subset_sums(ms(5, 5))
-        assert s.total == 10
-        assert {x for x in range(s.total + 1) if x in s} == {0, 5, 10}
+        assert sum_set(_subset_sums(ms(5, 5))) == {0, 5, 10}
 
     def test_multiples(self):
-        s = proper_subset_sums(ms(2, 2, 2, 2, 2))
-        assert {x for x in range(s.total + 1) if x in s} == {0, 2, 4, 6, 8, 10}
+        assert sum_set(_subset_sums(ms(2, 2, 2, 2, 2))) == {0, 2, 4, 6, 8, 10}
 
     def test_against_brute_force(self):
         # Frozen from the 2^4 enumeration of {6,6,6,5}.
         assert subset_sums_by_force([6, 6, 6, 5]) == {0, 5, 6, 11, 12, 17, 18, 23}
-        s = proper_subset_sums(ms(6, 6, 6, 5))
-        assert {x for x in range(s.total + 1) if x in s} == {
+        assert sum_set(_subset_sums(ms(6, 6, 6, 5))) == {
             0, 5, 6, 11, 12, 17, 18, 23,
         }
 
     @given(multisets)
     def test_matches_oracle(self, m):
-        s = proper_subset_sums(m)
-        sums = {x for x in range(s.total + 1) if x in s}
-        assert sums == subset_sums_by_force(list(m.elements()))
+        sums = subset_sums_by_force(list(m.elements()))
+        assert sum_set(_subset_sums(m)) == sums
+        assert sum_set(subset_sums_reference(m)) == sums
 
     @given(multisets)
     def test_boundary_bits(self, m):
-        s = proper_subset_sums(m)
-        assert 0 in s and s.total in s
+        bits = _subset_sums(m)
+        assert bits & 1 and bits.bit_length() == m.sigma + 1
 
     def test_complement_symmetry_bulk(self):
         rng = random.Random(13)
@@ -79,9 +82,7 @@ class TestProperSubsetSums:
                 for _ in range(rng.randint(1, 4))
             ]
             m = normalize(runs)
-            s = proper_subset_sums(m)
-            width = s.total + 1
-            forward = f"{s.achievable:0{width}b}"
+            forward = f"{_subset_sums(m):0{m.sigma + 1}b}"
             assert forward == forward[::-1]
 
 
@@ -187,7 +188,7 @@ class TestBoundedWidthSearch:
     @given(multisets, st.data())
     def test_truncated_fold_is_the_sums_below_its_width(self, m, data):
         width = data.draw(st.integers(1, m.sigma + 1))
-        full = proper_subset_sums(m).achievable
+        full = subset_sums_reference(m)
         assert _subset_sums(m, width) == full & ((1 << width) - 1)
 
     @settings(deadline=None)
@@ -220,3 +221,36 @@ class TestBoundedWidthSearch:
     )
     def test_boundaries(self, text, target):
         assert assert_matches_reference(parse_pair(text)) == target
+
+
+class TestResidueFastPaths:
+    """The gcd reduction and the residue test against full-width folds."""
+
+    @settings(deadline=None)
+    @given(residue_pairs())
+    def test_matches_full_width_reference(self, p):
+        target = assert_matches_reference(p)
+        g, q, verdict = _reduce(p)
+        assert all(v % g == 0 for m in (p.a, p.b) for v, _ in m.runs)
+        if len(q.a.runs) == 1 or len(q.b.runs) == 1:
+            assert verdict is not None
+        if verdict is not None:
+            assert verdict == (target is None)
+
+    @pytest.mark.parametrize(
+        "text,irreducible",
+        [
+            ("1 | 1", True),
+            ("1000000 | 1000000", True),
+            ("1^2 | 1^2", False),
+            ("1^7 | 1^7", False),
+            ("2^2 | 1^4", False),
+            ("5^4 | 4^5", True),
+            ("35^4 | 28^5", True),
+            ("500000^4 | 400000^5", True),
+        ],
+    )
+    def test_edge_cases(self, text, irreducible):
+        p = parse_pair(text)
+        assert (assert_matches_reference(p) is None) == irreducible
+        assert is_irreducible_naive(p) == irreducible
