@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from random import Random
 
 from .core import Pair, normalize, pair_canonical
-from .derivation import allocate_marbles, derive, split_index
+from .derivation import allocate_marbles, derive
 from .enumeration import EnumConfig, enumerate_irreducible, enumerate_multisets
 from .enumeration import verify_theorem_bounds
 from .irreducibility import is_irreducible, is_irreducible_naive
@@ -61,8 +61,8 @@ def allocation_sweep(
         y = [rng.randint(1, min(max_value, sum(x)))]
         while sum(y) <= sum(x):
             y.append(rng.randint(1, max_value))
-        t = split_index(x, y)
-        alloc = allocate_marbles(x, y, t)
+        alloc = allocate_marbles(x, y)
+        t = alloc.t
         violations += sum(sum(row[j] for row in alloc.z) != y[j] for j in range(t))
         violations += sum(
             row[t] != x[i] - sum(row[:t]) or row[t] < 0 for i, row in enumerate(alloc.z)

@@ -38,15 +38,15 @@ def _print_report(obj: dict) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     pair = parse_pair(args.pair)
-    irreducible = is_irreducible(pair)
+    witness = reducibility_witness(pair)
+    irreducible = pair.balanced and witness is None
     print(f"irreducible: {'true' if irreducible else 'false'}")
     print(f"k-threshold: {pair.max_element}")
     if irreducible:
         return 0
-    if not pair.balanced:
+    if witness is None:
         print(f"unbalanced: sum {pair.a.sigma} != {pair.b.sigma}")
     else:
-        witness = reducibility_witness(pair)
         print(
             f"witness: {format_multiset(witness.a_sub)} | "
             f"{format_multiset(witness.b_sub)}"

@@ -8,7 +8,7 @@ negated.  All types here are immutable values; every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 # Width guards: values and sums must stay comfortably inside 32-bit signed
@@ -68,6 +68,9 @@ class Multiset:
     """
 
     runs: tuple[tuple[int, int], ...]
+    # Set once from the runs; equality, ordering, hash and repr ignore them.
+    cardinality: int = field(init=False, repr=False, compare=False)
+    sigma: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.runs:
@@ -91,14 +94,8 @@ class Multiset:
             raise LimitExceededError(f"cardinality {card} exceeds {MAX_CARDINALITY}")
         if sigma > MAX_SIGMA:
             raise LimitExceededError(f"sum {sigma} exceeds {MAX_SIGMA}")
-
-    @property
-    def cardinality(self) -> int:
-        return sum(c for _, c in self.runs)
-
-    @property
-    def sigma(self) -> int:
-        return sum(v * c for v, c in self.runs)
+        object.__setattr__(self, "cardinality", card)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def max_value(self) -> int:

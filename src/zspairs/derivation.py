@@ -52,10 +52,6 @@ class NoSplitError(DerivationError):
     """The split-index preconditions fail: y_1 > sum(x) or sum(y) <= sum(x)."""
 
 
-class BadSplitError(DerivationError):
-    """The given t is not the valid split index for (x, y)."""
-
-
 @dataclass(frozen=True, slots=True)
 class DerivationPlan:
     """How many (a, b)-derivations to apply, as (a, b, count) steps with
@@ -128,43 +124,33 @@ def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
 def _apply(p: Pair, steps: tuple[tuple[int, int, int], ...]) -> Pair:
     # Feasibility (A, then B) is checked before emptiness (A, then B):
     # that fixes which error a plan failing both ways raises.
-    need_a: dict[int, int] = {}
-    need_b: dict[int, int] = {}
+    sides = (("first", p.a), ("second", p.b))
+    counts = []
+    for i, (name, side) in enumerate(sides):
+        # A step (a, b, count) takes count copies of a from A and of b from B.
+        need: dict[int, int] = {}
+        for step in steps:
+            need[step[i]] = need.get(step[i], 0) + step[2]
+        new = dict(side.runs)
+        for value, n in need.items():
+            have = new.get(value, 0)
+            if n > have:
+                raise InfeasiblePlanError(
+                    f"plan consumes {n} copies of {value} from the {name} "
+                    f"multiset, which holds {have}"
+                )
+            new[value] = have - n
+        counts.append(new)
     for a, b, count in steps:
-        need_a[a] = need_a.get(a, 0) + count
-        need_b[b] = need_b.get(b, 0) + count
-    for value, need in need_a.items():
-        have = p.a.count_of(value)
-        if need > have:
-            raise InfeasiblePlanError(
-                f"plan consumes {need} copies of {value} from the first "
-                f"multiset, which holds {have}"
-            )
-    for value, need in need_b.items():
-        have = p.b.count_of(value)
-        if need > have:
-            raise InfeasiblePlanError(
-                f"plan consumes {need} copies of {value} from the second "
-                f"multiset, which holds {have}"
-            )
-    new_a = dict(p.a.runs)
-    new_b = dict(p.b.runs)
-    for value, need in need_a.items():
-        new_a[value] -= need
-    for value, need in need_b.items():
-        new_b[value] -= need
-    for a, b, count in steps:
-        if a > b:
-            new_a[a - b] = new_a.get(a - b, 0) + count
-        else:
-            new_b[b - a] = new_b.get(b - a, 0) + count
-    runs_a = tuple(sorted(((v, c) for v, c in new_a.items() if c > 0), reverse=True))
-    runs_b = tuple(sorted(((v, c) for v, c in new_b.items() if c > 0), reverse=True))
-    if not runs_a:
-        raise EmptyResultError("plan would empty the first multiset")
-    if not runs_b:
-        raise EmptyResultError("plan would empty the second multiset")
-    return pair_canonical(Multiset(runs_a), Multiset(runs_b))
+        gains = counts[0] if a > b else counts[1]
+        gains[abs(a - b)] = gains.get(abs(a - b), 0) + count
+    result = []
+    for (name, _), new in zip(sides, counts):
+        runs = tuple(sorted(((v, c) for v, c in new.items() if c > 0), reverse=True))
+        if not runs:
+            raise EmptyResultError(f"plan would empty the {name} multiset")
+        result.append(Multiset(runs))
+    return pair_canonical(*result)
 
 
 def derive_chain(p: Pair, steps: Sequence[tuple[int, int]]) -> Pair:
@@ -227,16 +213,14 @@ class AllocationResult:
         return tuple(row[self.t] for row in self.z)
 
 
-def allocate_marbles(x: Sequence[int], y: Sequence[int], t: int) -> AllocationResult:
-    """Distribute y_1..y_t marbles into bins of capacity x_i, greedily.
+def allocate_marbles(x: Sequence[int], y: Sequence[int]) -> AllocationResult:
+    """Distribute y_1..y_t marbles into bins of capacity x_i, greedily,
+    where t = split_index(x, y).
 
     Colors are placed in order, each filling bins in order up to
-    capacity; the final column records what capacity is left.  Requires
-    t == split_index(x, y).
+    capacity; the final column records what capacity is left.
     """
-    expected = split_index(x, y)
-    if t != expected:
-        raise BadSplitError(f"t={t} is not the split index {expected}")
+    t = split_index(x, y)
     n = len(x)
     z = [[0] * (t + 1) for _ in range(n)]
     used = [0] * n

@@ -267,13 +267,13 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     )
 
 
-def extremal_pairs(cfg: EnumConfig, workers: int = 1) -> list[Pair]:
+def extremal_pairs(cfg: EnumConfig) -> list[Pair]:
     """All irreducible pairs of length exactly 2k-1 within the caps."""
     if cfg.k <= 1:
         raise KTooSmallError(f"k must be at least 2, got {cfg.k}")
     target = 2 * cfg.k - 1
     narrowed = replace(cfg, length_window=(target, target))
-    return list(enumerate_irreducible(narrowed, workers))
+    return list(enumerate_irreducible(narrowed))
 
 
 def verify_theorem_bounds(p: Pair) -> bool:

@@ -217,10 +217,12 @@ def reducibility_witness(p: Pair) -> ReducibilityWitness | None:
     """A witness for reducibility, or None when no equal-sum witness exists.
 
     None covers both irreducible pairs and unbalanced ones; `p.balanced`
-    distinguishes the two cases.  The witness is deterministic: the
-    smallest sum shared strictly inside (0, S), realised on each side by
-    taking as many copies of the larger values as possible.  Raises
-    ResourceLimitError when the search for that sum is over the budget.
+    distinguishes the two cases, so this is the one call `zspairs check`
+    makes for both its verdict and its witness.  The witness is
+    deterministic: the smallest sum shared strictly inside (0, S),
+    realised on each side by taking as many copies of the larger values
+    as possible.  Raises ResourceLimitError when the search for that sum
+    is over the budget.
     """
     if not p.balanced:
         return None

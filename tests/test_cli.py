@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zspairs import format_pair, parse_pair
+from zspairs import (
+    format_multiset,
+    format_pair,
+    is_irreducible,
+    pair_canonical,
+    parse_pair,
+    reducibility_witness,
+)
 from zspairs.cache import CACHE_DIR_ENV
 from zspairs.cli import main
-from helpers import pair
+from helpers import balanced_pairs, multisets, pair
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +96,41 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: no shared sum below 16777216")
         assert err.count("\n") == 1
+
+    def test_witness_search_over_budget_prints_no_verdict(self, capsys):
+        # A is a single run, so the residue test finds the pair reducible,
+        # but the witness search finds no shared sum below 2^24 and would
+        # next fold at 2^28 bits: the check fails before printing anything.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "691615^1020 | 604316^150 927300^663")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no shared sum below 16777216")
+        assert err.count("\n") == 1
+
+    @given(st.one_of(balanced_pairs(), st.builds(pair_canonical, multisets, multisets)))
+    def test_verdict_and_witness_match_the_library(self, p):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", format_pair(p)])
+        irreducible = is_irreducible(p)
+        witness = reducibility_witness(p)
+        assert code == (0 if irreducible else 1)
+        lines = out.getvalue().splitlines()
+        assert lines[:2] == [
+            f"irreducible: {'true' if irreducible else 'false'}",
+            f"k-threshold: {p.max_element}",
+        ]
+        if witness is None:
+            assert lines[2:] == ([] if p.balanced else [
+                f"unbalanced: sum {p.a.sigma} != {p.b.sigma}"
+            ])
+        else:
+            assert lines[2:] == [
+                f"witness: {format_multiset(witness.a_sub)} | "
+                f"{format_multiset(witness.b_sub)}"
+            ]
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "2^x | 1")

@@ -1,11 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zspairs import (
-    BadSplitError,
     DerivationError,
     DerivationPlan,
     EmptyResultError,
@@ -23,8 +23,10 @@ from zspairs import (
     is_irreducible,
     normalize,
     pair_canonical,
+    parse_pair,
     split_index,
 )
+from zspairs.derivation import _apply
 from helpers import balanced_pairs, ms, pair
 
 
@@ -150,6 +152,44 @@ class TestDeriveProduct:
         with pytest.raises(InfeasiblePlanError):
             derive_product(p, DerivationPlan.of([(5, 6, 1), (2, 6, 1)]))
 
+    @pytest.mark.parametrize(
+        "text, steps, error, message",
+        [
+            # Overdraws A.
+            ("7^3 1^2 | 6^3 5", [(7, 6, 4)], InfeasiblePlanError,
+             "plan consumes 4 copies of 7 from the first multiset, which holds 3"),
+            ("7^3 1^2 | 6^3 5", [(4, 6, 1)], InfeasiblePlanError,
+             "plan consumes 1 copies of 4 from the first multiset, which holds 0"),
+            # Overdraws B.
+            ("7^3 1^2 | 6^3 5", [(7, 5, 1), (1, 5, 1)], InfeasiblePlanError,
+             "plan consumes 2 copies of 5 from the second multiset, which holds 1"),
+            # Overdraws both: A is reported.
+            ("7^3 1^2 | 6^3 5", [(7, 6, 4), (1, 5, 2)], InfeasiblePlanError,
+             "plan consumes 4 copies of 7 from the first multiset, which holds 3"),
+            # Overdraws B and empties A: infeasibility is reported.
+            ("5 2 | 4 3", [(5, 6, 1), (2, 6, 1)], InfeasiblePlanError,
+             "plan consumes 2 copies of 6 from the second multiset, which holds 0"),
+            # Empties B.
+            ("3 2 | 1^2", [(3, 1, 1), (2, 1, 1)], EmptyResultError,
+             "plan would empty the second multiset"),
+        ],
+    )
+    def test_failing_plans(self, text, steps, error, message):
+        with pytest.raises(error) as info:
+            derive_product(parse_pair(text), DerivationPlan.of(steps))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_emptying_the_first_side(self):
+        # A canonical pair never gets here: A holds the larger maximum, and
+        # a step that consumes it puts the difference back on A.  So the
+        # sides are handed to the product step as they are.  (No plan
+        # empties both sides: every step adds its difference to one.)
+        p = SimpleNamespace(a=ms(2, 1), b=ms(6, 5))
+        with pytest.raises(EmptyResultError) as info:
+            _apply(p, ((2, 6, 1), (1, 5, 1)))
+        assert str(info.value) == "plan would empty the first multiset"
+
     def test_plan_of_merges_duplicates(self):
         plan = DerivationPlan.of([(7, 6, 1), (7, 6, 1), (7, 5, 0)])
         assert plan.steps == ((7, 6, 2),)
@@ -250,20 +290,20 @@ class TestSplitIndex:
 
 class TestAllocateMarbles:
     def test_two_bins(self):
-        alloc = allocate_marbles((3, 2), (2, 2, 4), 2)
+        alloc = allocate_marbles((3, 2), (2, 2, 4))
         assert alloc.z == ((2, 1, 0), (0, 1, 1))
 
     def test_single_bin(self):
-        alloc = allocate_marbles((1,), (1, 1), 1)
+        alloc = allocate_marbles((1,), (1, 1))
         assert alloc.z == ((1, 0),)
 
     def test_exact_fill(self):
-        alloc = allocate_marbles((2, 2), (4, 1), 1)
+        alloc = allocate_marbles((2, 2), (4, 1))
         assert alloc.z == ((2, 0), (2, 0))
 
-    def test_wrong_split_rejected(self):
-        with pytest.raises(BadSplitError):
-            allocate_marbles((3, 2), (2, 2, 4), 1)
+    def test_no_split_rejected(self):
+        with pytest.raises(NoSplitError, match="already exceeds"):
+            allocate_marbles((1,), (2, 1))
 
     def test_invariants_on_random_instances(self):
         rng = random.Random(7)
@@ -273,7 +313,7 @@ class TestAllocateMarbles:
             while sum(y) <= sum(x):
                 y.append(rng.randint(1, 9))
             t = split_index(x, y)
-            alloc = allocate_marbles(x, y, t)
+            alloc = allocate_marbles(x, y)
             assert alloc.t == t
             for j in range(t):
                 assert sum(row[j] for row in alloc.z) == y[j]
