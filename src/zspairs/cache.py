@@ -1,6 +1,8 @@
 """On-disk cache for survey reports, one JSON file per (k, mode, sum_cap).
 
-Entries are invalidated by tool version, and writes go through a
+Entries are invalidated by tool version, and a hit is served only after
+its report is checked again: its key fields, and every witness parsed
+and found irreducible at the reported length.  Writes go through a
 temporary file plus rename so readers never see a torn entry.  The
 directory defaults to the user cache dir and can be overridden with the
 ZSPAIRS_CACHE_DIR environment variable.
@@ -13,6 +15,9 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+
+from .formats import pair_from_obj
+from .irreducibility import is_irreducible
 
 CACHE_DIR_ENV = "ZSPAIRS_CACHE_DIR"
 
@@ -33,8 +38,8 @@ def entry_path(k: int, mode: str, sum_cap: int) -> Path:
 def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | None:
     """The cache entry for this exact key and version, or None.
 
-    The entry is the stored object: its "report" (always a dict here),
-    "created_at" and "tool_version".
+    The entry is the stored object: its "report" (always a dict that
+    passes `_report_holds` here), "created_at" and "tool_version".
     """
     path = entry_path(k, mode, sum_cap)
     try:
@@ -47,7 +52,33 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
         return None
     if data.get("key") != {"k": k, "mode": mode, "sum_cap": sum_cap}:
         return None
-    return data if isinstance(data.get("report"), dict) else None
+    report = data.get("report")
+    if not isinstance(report, dict) or not _report_holds(report, k, mode, sum_cap):
+        return None
+    return data
+
+
+def _report_holds(report: dict, k: int, mode: str, sum_cap: int) -> bool:
+    """Whether a stored report is one a survey of this key could return:
+    its k, mode and sum_cap are the key's, ell is an int with a witness
+    exactly when it is positive, and every witness is an irreducible pair
+    of length ell within the caps."""
+    ell, witnesses = report.get("ell"), report.get("witnesses")
+    if (
+        (report.get("k"), report.get("mode"), report.get("sum_cap")) != (k, mode, sum_cap)
+        or type(ell) is not int
+        or not isinstance(witnesses, list)
+        or (ell > 0) != bool(witnesses)
+    ):
+        return False
+    try:
+        return all(
+            p.length == ell and p.max_element <= k and p.a.sigma <= sum_cap
+            and is_irreducible(p)
+            for p in map(pair_from_obj, witnesses)
+        )
+    except ValueError:  # not a pair, or a pair too large to decide
+        return False
 
 
 def store_report(

@@ -20,8 +20,18 @@ the full-mask AND test (after pruned mode's exact predicates).  The skip
 follows from the definition alone, so brute mode stays theorem-free, and
 the candidate count reported stays m(m+1)/2 for m same-sum multisets.
 
+The candidates of a sum come from one recursive generator that yields
+each partition with its full subset-sum fold: a run is folded once, into
+its parent's sums, as its branch is entered.  For a run of c copies of v
+the branch is entered only if parts below v can fill the rest, that is
+rest <= (v - 1) * (max_len - c); that gap grows by one with each smaller
+c, so the count loop stops at the first miss and no branch that yields
+nothing is ever entered or folded.
+
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
+A cap whose candidates, counted by a partition-count DP before any sum is
+scanned, are over a fixed work budget fails with ResourceLimitError.
 Work splits cleanly by S, which is what the optional worker pool
 parallelizes over; results merge in S order, so worker count never
 changes output.
@@ -104,20 +114,31 @@ class EllReport:
 
 
 def _partitions(
-    remaining: int, max_part: int, max_len: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
+    remaining: int,
+    max_part: int,
+    max_len: int,
+    runs: tuple[tuple[int, int], ...] = (),
+    bits: int = 1,
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """Partitions of `remaining` into at most `max_len` parts of size at
-    most `max_part`, as (value, count) run tuples with values descending,
-    in descending-lexicographic order of their element sequences."""
+    most `max_part`, each appended to `runs`, as (runs, sums) pairs in
+    descending-lexicographic order of their element sequences.  Runs are
+    (value, count) tuples with values descending; sums is `bits` with
+    every new run folded in, so from the defaults it holds every
+    submultiset sum of runs.  Only branches that yield are entered."""
     if remaining == 0:
-        yield ()
+        yield runs, bits
         return
     for v in range(min(max_part, remaining), 0, -1):
         if v * max_len < remaining:
             break
         for c in range(min(remaining // v, max_len), 0, -1):
-            for rest in _partitions(remaining - v * c, v - 1, max_len - c):
-                yield ((v, c),) + rest
+            rest = remaining - v * c
+            if rest > (v - 1) * (max_len - c):
+                break
+            yield from _partitions(
+                rest, v - 1, max_len - c, runs + ((v, c),), _fold_run(bits, v, c)
+            )
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
@@ -127,25 +148,26 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
         raise ValueError(f"k must be positive, got {k}")
     if total < 1:
         raise ValueError(f"total must be positive, got {total}")
-    for runs in _partitions(total, min(k, total), total):
+    for runs, _ in _partitions(total, min(k, total), total):
         yield Multiset(runs)
+
+
+def _max_len(k: int, total: int, mode: str) -> int:
+    # Both bounds cap cardinality at k, so pruned mode generates only
+    # partitions with at most k parts.
+    return k if mode == "pruned" else total
 
 
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
     candidates (most are ruled out by the join without being visited)."""
-    # Both bounds cap cardinality at k, so pruned mode generates only
-    # partitions with at most k parts.
-    max_len = k if mode == "pruned" else total
-    runs_list = list(_partitions(total, min(k, total), max_len))
+    runs_list = []
+    masks = []
     # Bits 1 .. total-1: sums of proper nonempty submultisets.
     interior = (1 << total) - 2
-    masks = []
-    for runs in runs_list:
-        bits = 1
-        for v, c in runs:
-            bits = _fold_run(bits, v, c)
+    for runs, bits in _partitions(total, min(k, total), _max_len(k, total, mode)):
+        runs_list.append(runs)
         masks.append(bits & interior)
     m = len(runs_list)
     pruned = mode == "pruned"
@@ -205,11 +227,62 @@ def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
         yield from pool.map(_scan_task, tasks)
 
 
+# Most work a survey may take, in candidate mask words: each candidate
+# multiset of sum S counts once per 64-bit word of its S-bit mask, so the
+# wide masks of k = 1 and 2 weigh what they cost.  At the largest brute
+# cap it admits for each k (11280, 709, 222, 126, 87, 72 for k = 1..6) a
+# serial survey took 0.3-5.7 s on a 2-vCPU VM; the default caps of every
+# k in range need under 50,000.
+_SURVEY_BUDGET = 1_000_000
+
+
+def _partition_count(n: int, max_part: int, max_len: int, memo: dict) -> int:
+    """Partitions of n into at most max_len parts of size at most max_part,
+    both at most n: either no part is max_part, or one is taken off."""
+    if n == 0:
+        return 1
+    if max_part == 0 or max_len == 0:
+        return 0
+    key = (n, max_part, max_len)
+    if key not in memo:
+        rest = n - max_part
+        memo[key] = _partition_count(n, max_part - 1, max_len, memo) + _partition_count(
+            rest, min(max_part, rest), min(max_len - 1, rest), memo
+        )
+    return memo[key]
+
+
+def _check_survey_cost(cfg: EnumConfig, top: int) -> None:
+    """Raise ResourceLimitError if scanning S = 1..top is over the budget.
+
+    The candidates of each sum are counted, not generated, by a
+    partition-count DP over the scan's own bounds, and counting stops at
+    the first sum that passes the budget."""
+    memo: dict = {}
+    words = 0
+    # Ascending S keeps the recursion shallow: the states of smaller sums
+    # are already in the memo.
+    for S in range(1, top + 1):
+        m = _partition_count(S, min(cfg.k, S), min(_max_len(cfg.k, S, cfg.mode), S), memo)
+        words += m * (S // 64 + 1)
+        if words > _SURVEY_BUDGET:
+            raise ResourceLimitError(
+                f"sum cap {cfg.sum_cap} is too large for k={cfg.k} in "
+                f"{cfg.mode} mode: sums up to {S} already need "
+                f"{words:,} candidate mask words, over the budget of "
+                f"{_SURVEY_BUDGET:,}"
+            )
+
+
 def _scan_all(cfg: EnumConfig, workers: int):
-    """Per-sum scan results for S = 1..sum_cap, in S order.  The worker
-    count is checked when this is called, before any sum is scanned."""
-    tasks = [(cfg.k, S, cfg.mode) for S in range(1, cfg.sum_cap + 1)]
-    workers = _worker_count(workers, len(tasks))
+    """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
+    pruned sums above k*k: their candidates would need more than k parts
+    of size at most k.  The worker count and the survey's cost are
+    checked when this is called, before any sum is scanned."""
+    top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
+    workers = _worker_count(workers, top)
+    _check_survey_cost(cfg, top)
+    tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
     if workers > 1:
         return _scan_pool(tasks, workers)
     return (_scan_sum(*task) for task in tasks)

@@ -263,6 +263,51 @@ class TestEll:
         assert "cache: stored" in err
         assert json.loads(entry.read_text())["report"] == json.loads(out)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # An inflated ell with no witness to show for it.
+            lambda r: r | {"ell": 99, "witnesses": []},
+            # A witness of the right length and range that is reducible.
+            lambda r: r | {"witnesses": [{"A": [[3, 1], [1, 1]], "B": [[2, 1], [1, 2]]}]},
+            # A report computed under another sum cap.
+            lambda r: r | {"sum_cap": 4},
+            lambda r: r | {"ell": 5.0},
+            lambda r: r | {"witnesses": [{"A": [[3, 0]], "B": [[2, 3]]}]},
+        ],
+        ids=["inflated-ell", "reducible-witness", "sum-cap-mismatch", "float-ell", "bad-witness"],
+    )
+    def test_cache_entry_that_fails_reverification_is_a_miss(
+        self, capsys, isolated_cache, edit
+    ):
+        _, expected, _ = run(capsys, "ell", "3")
+        entry = next(isolated_cache.glob("*.json"))
+        data = json.loads(entry.read_text())
+        data["report"] = edit(data["report"])
+        entry.write_text(json.dumps(data))
+        code, out, err = run(capsys, "ell", "3")
+        assert code == 0
+        assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
+        assert err.startswith("cache: stored")
+        assert json.loads(entry.read_text())["report"] == json.loads(out)
+
+    def test_sum_cap_over_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ell", "6", "--sum-cap", "100", "--no-cache")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: sum cap 100 is too large for k=6")
+
+    @pytest.mark.parametrize("command", ["enumerate", "extremal"])
+    def test_sum_cap_over_budget_prints_no_header(self, capsys, command):
+        code, out, err = run(capsys, command, "6", "--sum-cap", "100", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: sum cap 100")
+
     def test_no_cache_skips_write(self, capsys, isolated_cache):
         _, _, err = run(capsys, "ell", "2", "--no-cache")
         assert "cache: off" in err

@@ -18,8 +18,8 @@ from zspairs import (
     pair_to_json,
     verify_theorem_bounds,
 )
-from zspairs.core import Pair
-from helpers import ms, pair, scan_sum_reference
+from zspairs.core import Multiset, Pair
+from helpers import ms, pair, scan_sum_reference, subset_sums_reference
 
 
 class TestEnumerateMultisets:
@@ -72,8 +72,39 @@ def test_partitions_match_reference(total):
                 for parts in every
                 if parts[0] <= max_part and len(parts) <= max_len
             ]
-            got = list(enumeration._partitions(total, max_part, max_len))
+            got = [runs for runs, _ in enumeration._partitions(total, max_part, max_len)]
             assert got == expected, (max_part, max_len)
+
+
+@pytest.mark.parametrize(
+    "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+)
+def test_partition_sums_match_reference(mode, k):
+    for total in range(1, k * k + 1):
+        max_len = k if mode == "pruned" else total
+        for runs, bits in enumeration._partitions(total, min(k, total), max_len):
+            assert bits == subset_sums_reference(Multiset(runs)), runs
+
+
+@pytest.mark.parametrize("total", range(1, 13))
+def test_partitions_enter_no_dead_branch(total, monkeypatch):
+    # Each run is folded once, on entering its branch, so a generator that
+    # enters only branches that yield folds once per distinct run-prefix.
+    calls = 0
+    fold = enumeration._fold_run
+
+    def counting_fold(bits, value, count):
+        nonlocal calls
+        calls += 1
+        return fold(bits, value, count)
+
+    monkeypatch.setattr(enumeration, "_fold_run", counting_fold)
+    for max_part in range(1, total + 1):
+        for max_len in range(1, total + 1):
+            calls = 0
+            runs_list = [runs for runs, _ in enumeration._partitions(total, max_part, max_len)]
+            prefixes = {runs[:i] for runs in runs_list for i in range(1, len(runs) + 1)}
+            assert calls == len(prefixes), (max_part, max_len)
 
 
 class TestEnumConfig:
@@ -222,6 +253,49 @@ class TestWorkerCount:
     def test_bad_count_fails_before_streaming(self):
         with pytest.raises(ValueError):
             enumerate_irreducible(EnumConfig(k=2), workers=0)
+
+
+class TestSurveyBudget:
+    @pytest.mark.parametrize(
+        "mode,k,budget",
+        [("brute", 1, 2000), ("brute", 3, 5000), ("brute", 6, 5000),
+         ("pruned", 5, 100), ("pruned", 9, 5000)],
+    )
+    def test_refused_from_the_first_sum_over_budget(self, monkeypatch, mode, k, budget):
+        # The words the scan would fold, counted from the generator itself:
+        # the DP must put the boundary at the same sum.
+        monkeypatch.setattr(enumeration, "_SURVEY_BUDGET", budget)
+        words = 0
+        for first_over in itertools.count(1):
+            max_len = k if mode == "pruned" else first_over
+            m = sum(1 for _ in enumeration._partitions(first_over, min(k, first_over), max_len))
+            words += m * (first_over // 64 + 1)
+            if words > budget:
+                break
+        enumeration._scan_all(EnumConfig(k=k, sum_cap=first_over - 1, mode=mode), 1)
+        with pytest.raises(ResourceLimitError, match=f"sums up to {first_over} "):
+            enumeration._scan_all(EnumConfig(k=k, sum_cap=first_over, mode=mode), 1)
+
+    def test_pruned_sums_above_k_squared_are_not_scanned(self, monkeypatch):
+        scanned = []
+        scan_sum = enumeration._scan_sum
+
+        def recording_scan_sum(k, total, mode):
+            scanned.append(total)
+            return scan_sum(k, total, mode)
+
+        monkeypatch.setattr(enumeration, "_scan_sum", recording_scan_sum)
+        full = compute_ell(EnumConfig(k=4, sum_cap=16, mode="pruned"))
+        report = compute_ell(EnumConfig(k=4, sum_cap=10**6, mode="pruned"))
+        assert scanned == list(range(1, 17)) * 2
+        assert report.pairs_scanned == full.pairs_scanned
+        assert report.witnesses == full.witnesses
+
+    @pytest.mark.parametrize(
+        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+    )
+    def test_default_caps_are_in_budget(self, mode, k):
+        enumeration._scan_all(EnumConfig(k=k, mode=mode), 1)
 
 
 class TestComputeEll:
