@@ -4,10 +4,9 @@ The survey runs sum by sum: for each common sum S up to a cap, every
 unordered pair of same-sum multisets with values in [1, k] is a
 candidate.  Brute mode decides them all and consults no structural
 theorem, so whatever it reports about maximum lengths is discovered, not
-assumed.  Pruned mode exploits the proved bounds (each side's cardinality
-is at most the other side's maximum, and sides of a longer irreducible
-pair are disjoint) to cut candidate generation, and is validated against
-brute mode on overlapping ranges.
+assumed.  Pruned mode exploits the proved bound that each side's
+cardinality is at most the other side's maximum to cut candidate
+generation, and is validated against brute mode on overlapping ranges.
 
 Both modes share one scan kernel, a disjointness join rather than an
 all-pairs loop.  A pair is irreducible iff the interior achievable-sum
@@ -26,12 +25,25 @@ its parent's sums, as its branch is entered.  For a run of c copies of v
 the branch is entered only if parts below v can fill the rest, that is
 rest <= (v - 1) * (max_len - c); that gap grows by one with each smaller
 c, so the count loop stops at the first miss and no branch that yields
-nothing is ever entered or folded.
+nothing is ever entered.
+
+Most candidates have no partner: their low key (bits 1..k) meets the key
+of every candidate of the same sum, so the join would never visit them,
+and for S > k they are never generated.  A memoized DP over the
+generator's states (what is left, the part and length bounds, and the
+prefix's sums in 0..k, the only ones later folds can move into a key)
+gives the low keys each state can end with.  The keys of the whole sum,
+complemented and closed downwards, are the keys with a partner, and a
+branch is entered only if it can still end in one.  The join's pairs
+have partnered sides, so it sees the same pairs in the same order, and
+no theorem is used.  For S <= k, {S} has key 0 and partners everything.
+m comes from a partition-count DP, which also sizes a survey before it
+starts; both memos live for one survey.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
-A cap whose candidates, counted by a partition-count DP before any sum is
-scanned, are over a fixed work budget fails with ResourceLimitError.
+A cap whose candidates, counted before any sum is scanned, are over a
+fixed work budget fails with ResourceLimitError.
 Work splits cleanly by S, which is what the optional worker pool
 parallelizes over; results merge in S order, so worker count never
 changes output.
@@ -44,13 +56,13 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
 from .formats import pair_to_obj
 from .irreducibility import _fold_run
 
-BRUTE_MAX_K = 6
+BRUTE_MAX_K = 7
 PRUNED_MAX_K = 9
 
 _MODES = ("brute", "pruned")
@@ -119,13 +131,16 @@ def _partitions(
     max_len: int,
     runs: tuple[tuple[int, int], ...] = (),
     bits: int = 1,
+    live: Callable[[int, int, int, int], int] | None = None,
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """Partitions of `remaining` into at most `max_len` parts of size at
     most `max_part`, each appended to `runs`, as (runs, sums) pairs in
     descending-lexicographic order of their element sequences.  Runs are
     (value, count) tuples with values descending; sums is `bits` with
     every new run folded in, so from the defaults it holds every
-    submultiset sum of runs.  Only branches that yield are entered."""
+    submultiset sum of runs.  Only branches that yield are entered, and
+    with a `live` predicate only those whose child state
+    (remaining, max_part, max_len, sums) it accepts."""
     if remaining == 0:
         yield runs, bits
         return
@@ -136,9 +151,84 @@ def _partitions(
             rest = remaining - v * c
             if rest > (v - 1) * (max_len - c):
                 break
-            yield from _partitions(
-                rest, v - 1, max_len - c, runs + ((v, c),), _fold_run(bits, v, c)
-            )
+            child = _fold_run(bits, v, c)
+            if live is None or live(rest, v - 1, max_len - c, child):
+                yield from _partitions(
+                    rest, v - 1, max_len - c, runs + ((v, c),), child, live
+                )
+
+
+# Memos shared by every sum of one survey and emptied when a survey
+# starts, so a survey never reads another's work.  They live at module
+# level because `_scan_sum` gets only (k, total, mode), in this process
+# and in pool workers; a forked worker holds its own copies.  k is part
+# of each key state, so `_scan_sum` calls of different k never mix.
+_counts: dict = {}
+_keys: dict = {}
+
+
+def _low_keys(k: int, remaining: int, max_part: int, max_len: int, key: int) -> int:
+    """The low keys that completions of a generator state end with, as a
+    2^k-bit set: bit K is set iff some partition of `remaining` within the
+    bounds, folded into the prefix sums `key` (bits 0..k), leaves bits
+    1..k equal to K << 1.  The branches are the ones `_partitions` enters
+    from the same state."""
+    if max_part > remaining:
+        max_part = remaining
+    if max_len > remaining:
+        max_len = remaining
+    state = (k, remaining, max_part, max_len, key)
+    found = _keys.get(state)
+    if found is None:
+        if remaining == 0:
+            found = 1 << (key >> 1)
+        else:
+            found = 0
+            full = (2 << k) - 1
+            for v in range(max_part, 0, -1):
+                if v * max_len < remaining:
+                    break
+                for c in range(min(remaining // v, max_len), 0, -1):
+                    rest = remaining - v * c
+                    if rest > (v - 1) * (max_len - c):
+                        break
+                    found |= _low_keys(
+                        k, rest, v - 1, max_len - c, _fold_run(key, v, c) & full
+                    )
+        _keys[state] = found
+    return found
+
+
+def _partner_filter(
+    k: int, total: int, max_len: int
+) -> Callable[[int, int, int, int], int] | None:
+    """A `live` predicate that keeps exactly the candidates of sum `total`
+    whose low key misses the low key of some candidate, or None for
+    total <= k, where {total} has low key 0 and partners everything."""
+    if total <= k:
+        return None
+    keys = _low_keys(k, total, k, max_len, 1)
+    # Complement every key, then close downwards: a key inside a
+    # partner's complement is disjoint from that partner.
+    top = (1 << k) - 1
+    partners = 0
+    while keys:
+        bit = keys & -keys
+        partners |= 1 << (top ^ (bit.bit_length() - 1))
+        keys ^= bit
+    every = (1 << (top + 1)) - 1
+    for i in range(k):
+        step = 1 << i
+        # Shifting by 2^i takes a set holding i to the set without it;
+        # `clear` keeps the positions without i, where those land.
+        clear = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+        partners |= (partners >> step) & clear
+    full = (2 << k) - 1
+
+    def live(rest, part, length, bits):
+        return _low_keys(k, rest, part, length, bits & full) & partners
+
+    return live
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
@@ -161,24 +251,31 @@ def _max_len(k: int, total: int, mode: str) -> int:
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
-    candidates (most are ruled out by the join without being visited)."""
+    candidates.  Only candidates that some candidate's low key misses are
+    generated; m comes from the partition-count DP, and the pairs the
+    join rules out are decided without being visited."""
     runs_list = []
     masks = []
     # Bits 1 .. total-1: sums of proper nonempty submultisets.
     interior = (1 << total) - 2
-    for runs, bits in _partitions(total, min(k, total), _max_len(k, total, mode)):
+    max_len = _max_len(k, total, mode)
+    live = _partner_filter(k, total, max_len)
+    for runs, bits in _partitions(total, min(k, total), max_len, live=live):
         runs_list.append(runs)
         masks.append(bits & interior)
-    m = len(runs_list)
+    m = _partition_count(total, min(k, total), min(max_len, total))
     pruned = mode == "pruned"
     if pruned:
         cards = [sum(c for _, c in runs) for runs in runs_list]
         maxima = [runs[0][0] for runs in runs_list]
-        valsets = [frozenset(v for v, _ in runs) for runs in runs_list]
 
     # A key is a subset of its mask, so a B whose key meets mask_a fails
     # the AND test: only buckets whose key misses mask_a can hold hits.
     # Bits 1..k include B's own values, which makes the key selective.
+    # It also makes a shared-value test redundant: each value of a side
+    # with two or more elements is an interior sum at most k, so it lies
+    # in that side's key, and visited pairs have disjoint keys; a side {S}
+    # can share S only with {S}, and {S} | {S} is irreducible.
     low = (1 << (k + 1)) - 2
     buckets: dict[int, list[int]] = {}
     for j, mask in enumerate(masks):
@@ -193,11 +290,7 @@ def _scan_sum(k: int, total: int, mode: str):
         row = []
         for js in reachable[key_a]:
             for j in js[bisect_left(js, i):]:
-                if pruned and (
-                    cards[i] > maxima[j]
-                    or cards[j] > maxima[i]
-                    or (cards[i] + cards[j] > 2 and not valsets[i].isdisjoint(valsets[j]))
-                ):
+                if pruned and (cards[i] > maxima[j] or cards[j] > maxima[i]):
                     continue
                 if not mask_a & masks[j]:
                     row.append(j)
@@ -230,13 +323,13 @@ def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
 # Most work a survey may take, in candidate mask words: each candidate
 # multiset of sum S counts once per 64-bit word of its S-bit mask, so the
 # wide masks of k = 1 and 2 weigh what they cost.  At the largest brute
-# cap it admits for each k (11280, 709, 222, 126, 87, 72 for k = 1..6) a
-# serial survey took 0.3-5.7 s on a 2-vCPU VM; the default caps of every
-# k in range need under 50,000.
+# cap it admits for each k (11280, 709, 222, 126, 87, 72, 65 for
+# k = 1..7) a serial survey took 0.1-0.7 s on a 2-vCPU VM; the default
+# caps of every k in range need under 160,000.
 _SURVEY_BUDGET = 1_000_000
 
 
-def _partition_count(n: int, max_part: int, max_len: int, memo: dict) -> int:
+def _partition_count(n: int, max_part: int, max_len: int) -> int:
     """Partitions of n into at most max_len parts of size at most max_part,
     both at most n: either no part is max_part, or one is taken off."""
     if n == 0:
@@ -244,12 +337,12 @@ def _partition_count(n: int, max_part: int, max_len: int, memo: dict) -> int:
     if max_part == 0 or max_len == 0:
         return 0
     key = (n, max_part, max_len)
-    if key not in memo:
+    if key not in _counts:
         rest = n - max_part
-        memo[key] = _partition_count(n, max_part - 1, max_len, memo) + _partition_count(
-            rest, min(max_part, rest), min(max_len - 1, rest), memo
+        _counts[key] = _partition_count(n, max_part - 1, max_len) + _partition_count(
+            rest, min(max_part, rest), min(max_len - 1, rest)
         )
-    return memo[key]
+    return _counts[key]
 
 
 def _check_survey_cost(cfg: EnumConfig, top: int) -> None:
@@ -258,12 +351,11 @@ def _check_survey_cost(cfg: EnumConfig, top: int) -> None:
     The candidates of each sum are counted, not generated, by a
     partition-count DP over the scan's own bounds, and counting stops at
     the first sum that passes the budget."""
-    memo: dict = {}
     words = 0
     # Ascending S keeps the recursion shallow: the states of smaller sums
     # are already in the memo.
     for S in range(1, top + 1):
-        m = _partition_count(S, min(cfg.k, S), min(_max_len(cfg.k, S, cfg.mode), S), memo)
+        m = _partition_count(S, min(cfg.k, S), min(_max_len(cfg.k, S, cfg.mode), S))
         words += m * (S // 64 + 1)
         if words > _SURVEY_BUDGET:
             raise ResourceLimitError(
@@ -278,9 +370,12 @@ def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
     of size at most k.  The worker count and the survey's cost are
-    checked when this is called, before any sum is scanned."""
+    checked, and the survey memos emptied, when this is called, before
+    any sum is scanned."""
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     workers = _worker_count(workers, top)
+    _counts.clear()
+    _keys.clear()
     _check_survey_cost(cfg, top)
     tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
     if workers > 1:

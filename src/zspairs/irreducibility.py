@@ -65,7 +65,7 @@ def _fold_run(bits: int, value: int, count: int, width: int | None = None) -> in
     # Binary splitting: chunks 1, 2, 4, ... cover every take in [0, count].
     chunk = 1
     while count > 0:
-        take = min(chunk, count)
+        take = chunk if chunk < count else count
         bits |= bits << (value * take)
         count -= take
         chunk <<= 1

@@ -106,8 +106,8 @@ def test_c08_length_bounds_hold_on_brute_sweep():
 
 
 def test_c09_brute_and_pruned_agree():
-    with criterion(9, "brute and pruned streams are byte-identical for k<=5"):
-        for k in range(1, 6):
+    with criterion(9, "brute and pruned streams are byte-identical for k<=7"):
+        for k in range(1, 8):
             brute = "\n".join(
                 pair_to_json(p)
                 for p in enumerate_irreducible(EnumConfig(k=k, sum_cap=k * k, mode="brute"))

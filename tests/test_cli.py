@@ -199,7 +199,7 @@ class TestEll:
         assert json.loads(out)["ell"] == 2 and code == 0
 
     def test_resource_limit(self, capsys):
-        code, _, err = run(capsys, "ell", "7", "--mode", "brute", "--no-cache")
+        code, _, err = run(capsys, "ell", "8", "--mode", "brute", "--no-cache")
         assert code == 1
         assert "brute-mode limit" in err
 

@@ -1,6 +1,9 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,9 +79,10 @@ def test_partitions_match_reference(total):
             assert got == expected, (max_part, max_len)
 
 
-@pytest.mark.parametrize(
-    "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
-)
+_SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("mode,k", _SURVEYS)
 def test_partition_sums_match_reference(mode, k):
     for total in range(1, k * k + 1):
         max_len = k if mode == "pruned" else total
@@ -107,13 +111,95 @@ def test_partitions_enter_no_dead_branch(total, monkeypatch):
             assert calls == len(prefixes), (max_part, max_len)
 
 
+def _keyed_candidates(k, total, max_len):
+    """A sum's unfiltered candidates as (runs, low key), the key being the
+    join's bucket key: interior sums in 1..k."""
+    low = ((1 << (k + 1)) - 2) & ((1 << total) - 2)
+    for runs, bits in enumeration._partitions(total, min(k, total), max_len):
+        yield runs, bits & low
+
+
+@pytest.mark.parametrize("mode,k", _SURVEYS)
+def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
+    # The key DP's root is the set of generated keys, and the filtered
+    # generator yields, in order, the candidates whose key misses some
+    # candidate's key.
+    for total in range(1, k * k + 1):
+        max_len = enumeration._max_len(k, total, mode)
+        candidates = list(_keyed_candidates(k, total, max_len))
+        keys = {key for _, key in candidates}
+        if total > k:
+            assert enumeration._low_keys(k, total, k, max_len, 1) == sum(
+                1 << (key >> 1) for key in keys
+            ), total
+        partnered = {key for key in keys if any(not key & other for other in keys)}
+        expected = [runs for runs, key in candidates if key in partnered]
+        live = enumeration._partner_filter(k, total, max_len)
+        got = [
+            runs
+            for runs, _ in enumeration._partitions(total, min(k, total), max_len, live=live)
+        ]
+        assert got == expected, total
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_disjoint_low_keys_mean_disjoint_values(k):
+    # Why pruned mode needs no shared-value test: among candidates whose
+    # low keys miss each other, only {S} | {S} shares a value.  Values
+    # are pooled per key, so a shared value shows up between two buckets.
+    for total in range(1, k * k + 1):
+        values: dict[int, int] = {}
+        for runs, key in _keyed_candidates(k, total, total):
+            pooled = values.get(key, 0)
+            for v, _ in runs:
+                pooled |= 1 << v
+            values[key] = pooled
+        for key_a, key_b in itertools.combinations(values, 2):
+            if not key_a & key_b:
+                assert not values[key_a] & values[key_b], (total, key_a, key_b)
+        # Key 0 belongs to the singleton {total} alone.
+        assert values.get(0, 1 << total) == 1 << total
+
+
+_FRESH_SURVEY = """
+import json, sys
+from zspairs import EnumConfig, compute_ell
+obj = compute_ell(EnumConfig(k=int(sys.argv[1]), mode=sys.argv[2])).to_obj()
+del obj["wall_time"]
+print(json.dumps(obj))
+"""
+
+
+@pytest.mark.parametrize(
+    "mode,k,earlier",
+    [("brute", 6, [("brute", 5), ("pruned", 6)]), ("pruned", 7, [("pruned", 8), ("brute", 7)])],
+)
+def test_survey_ignores_earlier_surveys(mode, k, earlier):
+    # The memos are shared by the sums of one survey; a survey after one
+    # with another k or mode must match one run first in a new process.
+    src = Path(enumeration.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_SURVEY, str(k), mode],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    expected = json.loads(fresh.stdout)
+    for other_mode, other_k in earlier:
+        compute_ell(EnumConfig(k=other_k, mode=other_mode))
+        obj = compute_ell(EnumConfig(k=k, mode=mode)).to_obj()
+        del obj["wall_time"]
+        assert json.loads(json.dumps(obj)) == expected, (other_mode, other_k)
+
+
 class TestEnumConfig:
     def test_default_sum_cap(self):
         assert EnumConfig(k=3).sum_cap == 9
 
     def test_brute_limit(self):
         with pytest.raises(ResourceLimitError):
-            EnumConfig(k=7, mode="brute")
+            EnumConfig(k=8, mode="brute")
 
     def test_one_resource_limit_class(self):
         # The check's fold budget raises the same class, from core.
@@ -292,7 +378,7 @@ class TestSurveyBudget:
         assert report.witnesses == full.witnesses
 
     @pytest.mark.parametrize(
-        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+        "mode,k", [("brute", k) for k in range(1, 8)] + [("pruned", k) for k in range(1, 10)]
     )
     def test_default_caps_are_in_budget(self, mode, k):
         enumeration._scan_all(EnumConfig(k=k, mode=mode), 1)
