@@ -17,7 +17,13 @@ from . import __version__
 from .cache import entry_path, load_report, store_report
 from .checks import allocation_sweep, bounds_sweep, derivation_sweep, oracle_sweep
 from .derivation import DerivationError, DerivationPlan, derive_chain, derive_product
-from .enumeration import EnumConfig, compute_ell, enumerate_irreducible, extremal_pairs
+from .enumeration import (
+    _MODES,
+    EnumConfig,
+    compute_ell,
+    enumerate_irreducible,
+    extremal_pairs,
+)
 from .formats import (
     FormatError,
     format_multiset,
@@ -149,6 +155,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(bad == 0 for _, _, (_, bad) in results) else 1
 
 
+def _add_survey_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments `ell`, `enumerate` and `extremal` share, first."""
+    parser.add_argument("k", type=int)
+    parser.add_argument("--mode", choices=_MODES, default="brute")
+    parser.add_argument("--sum-cap", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zspairs",
@@ -169,17 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=cmd_derive)
 
     p_ell = sub.add_parser("ell", help="survey the maximum pair length for k")
-    p_ell.add_argument("k", type=int)
-    p_ell.add_argument("--mode", choices=["brute", "pruned"], default="brute")
-    p_ell.add_argument("--sum-cap", type=int, default=None)
+    _add_survey_arguments(p_ell)
     p_ell.add_argument("--no-cache", action="store_true")
     p_ell.add_argument("--workers", type=int, default=1)
     p_ell.set_defaults(func=cmd_ell)
 
     p_enum = sub.add_parser("enumerate", help="list irreducible pairs for k")
-    p_enum.add_argument("k", type=int)
-    p_enum.add_argument("--mode", choices=["brute", "pruned"], default="brute")
-    p_enum.add_argument("--sum-cap", type=int, default=None)
+    _add_survey_arguments(p_enum)
     p_enum.add_argument("--min-len", type=int, default=None)
     p_enum.add_argument("--max-len", type=int, default=None)
     p_enum.add_argument(
@@ -191,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser(
         "extremal", help="list the maximum-length irreducible pairs for k"
     )
-    p_ext.add_argument("k", type=int)
-    p_ext.add_argument("--mode", choices=["brute", "pruned"], default="brute")
-    p_ext.add_argument("--sum-cap", type=int, default=None)
+    _add_survey_arguments(p_ext)
     p_ext.add_argument(
         "--format", choices=["json", "csv", "plain"], default="plain"
     )

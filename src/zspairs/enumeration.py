@@ -19,26 +19,23 @@ the full-mask AND test (after pruned mode's exact predicates).  The skip
 follows from the definition alone, so brute mode stays theorem-free, and
 the candidate count reported stays m(m+1)/2 for m same-sum multisets.
 
-The candidates of a sum come from one recursive generator that yields
-each partition with its full subset-sum fold: a run is folded once, into
-its parent's sums, as its branch is entered.  For a run of c copies of v
-the branch is entered only if parts below v can fill the rest, that is
-rest <= (v - 1) * (max_len - c); that gap grows by one with each smaller
-c, so the count loop stops at the first miss and no branch that yields
-nothing is ever entered.
-
-Most candidates have no partner: their low key (bits 1..k) meets the key
-of every candidate of the same sum, so the join would never visit them,
-and for S > k they are never generated.  A memoized DP over the
-generator's states (what is left, the part and length bounds, and the
-prefix's sums in 0..k, the only ones later folds can move into a key)
-gives the low keys each state can end with.  The keys of the whole sum,
-complemented and closed downwards, are the keys with a partner, and a
-branch is entered only if it can still end in one.  The join's pairs
-have partnered sides, so it sees the same pairs in the same order, and
-no theorem is used.  For S <= k, {S} has key 0 and partners everything.
-m comes from a partition-count DP, which also sizes a survey before it
-starts; both memos live for one survey.
+The candidates of a sum come from a memoized DAG of generator states:
+what is left, the part and length bounds, and the prefix's sums in
+0..k, the only ones later runs can move into the low key (a candidate's
+sums in 1..k, its bucket in the join).  One branch rule builds each
+node's children: a run of c copies of v is a child only if parts below
+v can fill the rest, rest <= (v - 1) * (max_len - c), a gap that grows
+by one with each smaller c, so the count loop stops at the first miss
+and no child yields nothing.  Each node also holds the low keys its
+completions end with.  Most candidates have no partner: their key meets
+every same-sum candidate's, so the join would never visit them.  The
+root's keys, complemented and closed downwards, are the keys with a
+partner, and a walk of the DAG enters a child only if its keys meet
+them, folding that run into its parent's subset sums as it goes; for
+S <= k, {S} has key 0 and partners everything.  The join's pairs have
+partnered sides, so it sees the same pairs in the same order, and no
+theorem is used.  m comes from a partition-count DP, which also sizes a
+survey before it starts.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -56,7 +53,7 @@ import time
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
 from .formats import pair_to_obj
@@ -125,65 +122,38 @@ class EllReport:
         }
 
 
-def _partitions(
-    remaining: int,
-    max_part: int,
-    max_len: int,
-    runs: tuple[tuple[int, int], ...] = (),
-    bits: int = 1,
-    live: Callable[[int, int, int, int], int] | None = None,
-) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """Partitions of `remaining` into at most `max_len` parts of size at
-    most `max_part`, each appended to `runs`, as (runs, sums) pairs in
-    descending-lexicographic order of their element sequences.  Runs are
-    (value, count) tuples with values descending; sums is `bits` with
-    every new run folded in, so from the defaults it holds every
-    submultiset sum of runs.  Only branches that yield are entered, and
-    with a `live` predicate only those whose child state
-    (remaining, max_part, max_len, sums) it accepts."""
-    if remaining == 0:
-        yield runs, bits
-        return
-    for v in range(min(max_part, remaining), 0, -1):
-        if v * max_len < remaining:
-            break
-        for c in range(min(remaining // v, max_len), 0, -1):
-            rest = remaining - v * c
-            if rest > (v - 1) * (max_len - c):
-                break
-            child = _fold_run(bits, v, c)
-            if live is None or live(rest, v - 1, max_len - c, child):
-                yield from _partitions(
-                    rest, v - 1, max_len - c, runs + ((v, c),), child, live
-                )
-
-
-# Memos shared by every sum of one survey and emptied when a survey
-# starts, so a survey never reads another's work.  They live at module
-# level because `_scan_sum` gets only (k, total, mode), in this process
-# and in pool workers; a forked worker holds its own copies.  k is part
-# of each key state, so `_scan_sum` calls of different k never mix.
+# The generator's nodes, and the partition counts, shared by every sum of
+# one survey and emptied when a survey starts, so a survey never reads
+# another's work.  They live at module level because `_scan_sum` gets
+# only (k, total, mode), in this process and in pool workers; a forked
+# worker holds its own copies.  k is part of each state, so `_scan_sum`
+# calls of different k never mix, and `enumerate_multisets` reads k=0
+# nodes, which no survey builds.
 _counts: dict = {}
-_keys: dict = {}
+_nodes: dict = {}
 
 
-def _low_keys(k: int, remaining: int, max_part: int, max_len: int, key: int) -> int:
-    """The low keys that completions of a generator state end with, as a
-    2^k-bit set: bit K is set iff some partition of `remaining` within the
-    bounds, folded into the prefix sums `key` (bits 0..k), leaves bits
-    1..k equal to K << 1.  The branches are the ones `_partitions` enters
-    from the same state."""
+def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
+    """The generator state that partitions `remaining` into at most
+    `max_len` parts of size at most `max_part`, after a prefix whose sums
+    in 0..k are the bits of `key`, as (keys, children).  keys is the
+    2^k-bit set of low keys its completions end with: bit K is set iff
+    one leaves bits 1..k of its sums equal to K << 1.  children lists
+    (v, c, child) for each run of c copies of v a completion can start
+    with, in descending-lexicographic order, or is None when nothing is
+    left."""
     if max_part > remaining:
         max_part = remaining
     if max_len > remaining:
         max_len = remaining
     state = (k, remaining, max_part, max_len, key)
-    found = _keys.get(state)
-    if found is None:
+    node = _nodes.get(state)
+    if node is None:
         if remaining == 0:
-            found = 1 << (key >> 1)
+            node = (1 << (key >> 1), None)
         else:
-            found = 0
+            keys = 0
+            children = []
             full = (2 << k) - 1
             for v in range(max_part, 0, -1):
                 if v * max_len < remaining:
@@ -192,22 +162,34 @@ def _low_keys(k: int, remaining: int, max_part: int, max_len: int, key: int) -> 
                     rest = remaining - v * c
                     if rest > (v - 1) * (max_len - c):
                         break
-                    found |= _low_keys(
-                        k, rest, v - 1, max_len - c, _fold_run(key, v, c) & full
-                    )
-        _keys[state] = found
-    return found
+                    # Taking more than k // v copies adds only sums above k.
+                    low = _fold_run(key, v, min(c, k // v)) & full
+                    child = _node(k, rest, v - 1, max_len - c, low)
+                    keys |= child[0]
+                    children.append((v, c, child))
+            node = (keys, children)
+        _nodes[state] = node
+    return node
 
 
-def _partner_filter(
-    k: int, total: int, max_len: int
-) -> Callable[[int, int, int, int], int] | None:
-    """A `live` predicate that keeps exactly the candidates of sum `total`
-    whose low key misses the low key of some candidate, or None for
-    total <= k, where {total} has low key 0 and partners everything."""
-    if total <= k:
-        return None
-    keys = _low_keys(k, total, k, max_len, 1)
+def _partitions(
+    node, partners: int = -1, runs: tuple[tuple[int, int], ...] = (), bits: int = 1
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """The completions of `node` whose low key is in `partners`, each
+    appended to `runs`, as (runs, sums) pairs in generation order.  sums
+    is `bits` with every new run folded in, once, as its child is
+    entered, so from the defaults it holds every submultiset sum."""
+    children = node[1]
+    if children is None:
+        yield runs, bits
+        return
+    for v, c, child in children:
+        if child[0] & partners:
+            yield from _partitions(child, partners, runs + ((v, c),), _fold_run(bits, v, c))
+
+
+def _partners(k: int, keys: int) -> int:
+    """The low keys, as a 2^k-bit set, that miss some key in `keys`."""
     # Complement every key, then close downwards: a key inside a
     # partner's complement is disjoint from that partner.
     top = (1 << k) - 1
@@ -223,12 +205,7 @@ def _partner_filter(
         # `clear` keeps the positions without i, where those land.
         clear = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
         partners |= (partners >> step) & clear
-    full = (2 << k) - 1
-
-    def live(rest, part, length, bits):
-        return _low_keys(k, rest, part, length, bits & full) & partners
-
-    return live
+    return partners
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
@@ -238,7 +215,7 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
         raise ValueError(f"k must be positive, got {k}")
     if total < 1:
         raise ValueError(f"total must be positive, got {total}")
-    for runs, _ in _partitions(total, min(k, total), total):
+    for runs, _ in _partitions(_node(0, total, k, total, 1)):
         yield Multiset(runs)
 
 
@@ -251,16 +228,19 @@ def _max_len(k: int, total: int, mode: str) -> int:
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
-    candidates.  Only candidates that some candidate's low key misses are
-    generated; m comes from the partition-count DP, and the pairs the
-    join rules out are decided without being visited."""
+    candidates.  The walk of the sum's DAG builds only the candidates
+    whose low key misses some candidate's; m comes from the
+    partition-count DP, and the pairs the join rules out are decided
+    without being visited."""
     runs_list = []
     masks = []
     # Bits 1 .. total-1: sums of proper nonempty submultisets.
     interior = (1 << total) - 2
     max_len = _max_len(k, total, mode)
-    live = _partner_filter(k, total, max_len)
-    for runs, bits in _partitions(total, min(k, total), max_len, live=live):
+    root = _node(k, total, k, max_len, 1)
+    # For total <= k, {total} has low key 0 and partners everything.
+    partners = _partners(k, root[0]) if total > k else -1
+    for runs, bits in _partitions(root, partners):
         runs_list.append(runs)
         masks.append(bits & interior)
     m = _partition_count(total, min(k, total), min(max_len, total))
@@ -375,7 +355,7 @@ def _scan_all(cfg: EnumConfig, workers: int):
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     workers = _worker_count(workers, top)
     _counts.clear()
-    _keys.clear()
+    _nodes.clear()
     _check_survey_cost(cfg, top)
     tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
     if workers > 1:

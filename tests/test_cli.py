@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,8 @@ from zspairs import (
     reducibility_witness,
 )
 from zspairs.cache import CACHE_DIR_ENV
-from zspairs.cli import main
+from zspairs.cli import build_parser, main
+from zspairs.enumeration import _MODES
 from helpers import balanced_pairs, multisets, pair
 
 
@@ -390,6 +392,16 @@ def test_exit_code_contract(capsys):
     assert run(capsys, "check", "2^2 | 1^4")[0] == 1  # negative result
     assert run(capsys, "check", "oops")[0] == 2  # parse error
     assert run(capsys, "nonsense")[0] == 2  # usage error
+
+
+@pytest.mark.parametrize("command", ["ell", "enumerate", "extremal"])
+def test_survey_commands_accept_exactly_the_modes(command):
+    parser = build_parser()
+    for mode in _MODES:
+        assert parser.parse_args([command, "3", "--mode", mode]).mode == mode
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (mode_action,) = [a for a in sub.choices[command]._actions if a.dest == "mode"]
+    assert tuple(mode_action.choices) == _MODES
 
 
 def test_version_flag(capsys):

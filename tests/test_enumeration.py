@@ -75,70 +75,108 @@ def test_partitions_match_reference(total):
                 for parts in every
                 if parts[0] <= max_part and len(parts) <= max_len
             ]
-            got = [runs for runs, _ in enumeration._partitions(total, max_part, max_len)]
-            assert got == expected, (max_part, max_len)
+            # The key width changes the nodes, not what they generate.
+            for k in (0, 3):
+                root = enumeration._node(k, total, max_part, max_len, 1)
+                got = [runs for runs, _ in enumeration._partitions(root)]
+                assert got == expected, (k, max_part, max_len)
 
 
 _SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
 
 
+def _root(k, total, mode):
+    return enumeration._node(k, total, k, enumeration._max_len(k, total, mode), 1)
+
+
 @pytest.mark.parametrize("mode,k", _SURVEYS)
 def test_partition_sums_match_reference(mode, k):
     for total in range(1, k * k + 1):
-        max_len = k if mode == "pruned" else total
-        for runs, bits in enumeration._partitions(total, min(k, total), max_len):
+        for runs, bits in enumeration._partitions(_root(k, total, mode)):
             assert bits == subset_sums_reference(Multiset(runs)), runs
+
+
+def _counting_folds(monkeypatch):
+    """Count `_fold_run` calls from now on, in the returned one-item list."""
+    calls = [0]
+    fold = enumeration._fold_run
+
+    def counting_fold(bits, value, count):
+        calls[0] += 1
+        return fold(bits, value, count)
+
+    monkeypatch.setattr(enumeration, "_fold_run", counting_fold)
+    return calls
+
+
+def _assert_walk_folds_once_per_prefix(calls, root, partners=-1):
+    # Each run is folded once, on entering its child, so a walk that
+    # enters only children that yield folds once per distinct run-prefix.
+    calls[0] = 0
+    runs_list = [runs for runs, _ in enumeration._partitions(root, partners)]
+    prefixes = {runs[:i] for runs in runs_list for i in range(1, len(runs) + 1)}
+    assert calls[0] == len(prefixes)
 
 
 @pytest.mark.parametrize("total", range(1, 13))
 def test_partitions_enter_no_dead_branch(total, monkeypatch):
-    # Each run is folded once, on entering its branch, so a generator that
-    # enters only branches that yield folds once per distinct run-prefix.
-    calls = 0
-    fold = enumeration._fold_run
-
-    def counting_fold(bits, value, count):
-        nonlocal calls
-        calls += 1
-        return fold(bits, value, count)
-
-    monkeypatch.setattr(enumeration, "_fold_run", counting_fold)
+    # The branch rule builds no child that yields nothing: every node
+    # reached from a root with a partition has a child or is a leaf.
+    calls = _counting_folds(monkeypatch)
     for max_part in range(1, total + 1):
         for max_len in range(1, total + 1):
-            calls = 0
-            runs_list = [runs for runs, _ in enumeration._partitions(total, max_part, max_len)]
-            prefixes = {runs[:i] for runs in runs_list for i in range(1, len(runs) + 1)}
-            assert calls == len(prefixes), (max_part, max_len)
+            root = enumeration._node(0, total, max_part, max_len, 1)
+            if not root[1]:
+                assert max_part * max_len < total, (max_part, max_len)
+                continue
+            todo = [root]
+            while todo:
+                children = todo.pop()[1]
+                assert children is None or children, (max_part, max_len)
+                todo.extend(child for _, _, child in children or ())
+            _assert_walk_folds_once_per_prefix(calls, root)
+
+
+@pytest.mark.parametrize(
+    "k,cap", [(k, k * k) for k in range(1, 7)] + [(2, 200)], ids=str
+)
+def test_partner_walk_folds_only_branches_it_keeps(k, cap, monkeypatch):
+    # A child none of whose keys is a partner is skipped before its fold,
+    # so the survey's walk folds exactly the run-prefixes it yields.
+    calls = _counting_folds(monkeypatch)
+    for total in range(1, cap + 1):
+        root = _root(k, total, "brute")
+        partners = enumeration._partners(k, root[0]) if total > k else -1
+        _assert_walk_folds_once_per_prefix(calls, root, partners)
 
 
 def _keyed_candidates(k, total, max_len):
     """A sum's unfiltered candidates as (runs, low key), the key being the
     join's bucket key: interior sums in 1..k."""
     low = ((1 << (k + 1)) - 2) & ((1 << total) - 2)
-    for runs, bits in enumeration._partitions(total, min(k, total), max_len):
+    root = enumeration._node(k, total, k, max_len, 1)
+    for runs, bits in enumeration._partitions(root):
         yield runs, bits & low
 
 
 @pytest.mark.parametrize("mode,k", _SURVEYS)
 def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
-    # The key DP's root is the set of generated keys, and the filtered
-    # generator yields, in order, the candidates whose key misses some
-    # candidate's key.
+    # The root's keys are the generated keys, and the walk over the
+    # partners of the root's keys yields, in order, the candidates whose
+    # key misses some candidate's key.
     for total in range(1, k * k + 1):
         max_len = enumeration._max_len(k, total, mode)
         candidates = list(_keyed_candidates(k, total, max_len))
         keys = {key for _, key in candidates}
+        root = _root(k, total, mode)
         if total > k:
-            assert enumeration._low_keys(k, total, k, max_len, 1) == sum(
-                1 << (key >> 1) for key in keys
-            ), total
+            assert root[0] == sum(1 << (key >> 1) for key in keys), total
+            partners = enumeration._partners(k, root[0])
+        else:
+            partners = -1
         partnered = {key for key in keys if any(not key & other for other in keys)}
         expected = [runs for runs, key in candidates if key in partnered]
-        live = enumeration._partner_filter(k, total, max_len)
-        got = [
-            runs
-            for runs, _ in enumeration._partitions(total, min(k, total), max_len, live=live)
-        ]
+        got = [runs for runs, _ in enumeration._partitions(root, partners)]
         assert got == expected, total
 
 
@@ -354,7 +392,8 @@ class TestSurveyBudget:
         words = 0
         for first_over in itertools.count(1):
             max_len = k if mode == "pruned" else first_over
-            m = sum(1 for _ in enumeration._partitions(first_over, min(k, first_over), max_len))
+            root = enumeration._node(0, first_over, k, max_len, 1)
+            m = sum(1 for _ in enumeration._partitions(root))
             words += m * (first_over // 64 + 1)
             if words > budget:
                 break
