@@ -13,11 +13,11 @@ all-pairs loop.  A pair is irreducible iff the interior achievable-sum
 masks of its sides do not meet.  Every value of B is itself a sum of B,
 so B's mask restricted to bits 1..k already meets A's whenever A contains
 one of B's values as an interior sum; such pairs are skipped without
-being visited.  Candidates are bucketed by those low k bits, each A walks
-only the buckets its own mask misses, and every surviving pair still gets
-the full-mask AND test (after pruned mode's exact predicates).  The skip
-follows from the definition alone, so brute mode stays theorem-free, and
-the candidate count reported stays m(m+1)/2 for m same-sum multisets.
+being visited.  Candidates are bucketed by those low k bits, and every
+pair drawn from two buckets with disjoint keys gets the full-mask AND
+test; the mode only chooses the candidates.  The skip follows from the
+definition alone, so brute mode stays theorem-free, and the candidate
+count reported stays m(m+1)/2 for m same-sum multisets.
 
 The candidates of a sum come from a memoized DAG of generator states:
 what is left, the part and length bounds, and the prefix's sums in
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -230,54 +229,44 @@ def _scan_sum(k: int, total: int, mode: str):
     tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
     candidates.  The walk of the sum's DAG builds only the candidates
     whose low key misses some candidate's; m comes from the
-    partition-count DP, and the pairs the join rules out are decided
-    without being visited."""
+    partition-count DP.  The join AND-tests every pair drawn from two
+    buckets with disjoint low keys, in either mode, so the pairs it rules
+    out are decided without being visited; hits are sorted into
+    candidate order."""
     runs_list = []
     masks = []
+    # A key is a subset of its mask, so a B whose key meets A's fails the
+    # AND test: only buckets with disjoint keys can hold hits.  Bits 1..k
+    # include B's own values, which makes the key selective.  It also
+    # makes a shared-value test redundant: each value of a side with two
+    # or more elements is an interior sum at most k, so it lies in that
+    # side's key, and visited pairs have disjoint keys; a side {S} can
+    # share S only with {S}, and {S} | {S} is irreducible.
+    low = (1 << (k + 1)) - 2
+    buckets: dict[int, list[int]] = {}
     # Bits 1 .. total-1: sums of proper nonempty submultisets.
     interior = (1 << total) - 2
     max_len = _max_len(k, total, mode)
     root = _node(k, total, k, max_len, 1)
     # For total <= k, {total} has low key 0 and partners everything.
     partners = _partners(k, root[0]) if total > k else -1
-    for runs, bits in _partitions(root, partners):
+    for i, (runs, bits) in enumerate(_partitions(root, partners)):
+        mask = bits & interior
         runs_list.append(runs)
-        masks.append(bits & interior)
+        masks.append(mask)
+        buckets.setdefault(mask & low, []).append(i)
     m = _partition_count(total, min(k, total), min(max_len, total))
-    pruned = mode == "pruned"
-    if pruned:
-        cards = [sum(c for _, c in runs) for runs in runs_list]
-        maxima = [runs[0][0] for runs in runs_list]
 
-    # A key is a subset of its mask, so a B whose key meets mask_a fails
-    # the AND test: only buckets whose key misses mask_a can hold hits.
-    # Bits 1..k include B's own values, which makes the key selective.
-    # It also makes a shared-value test redundant: each value of a side
-    # with two or more elements is an interior sum at most k, so it lies
-    # in that side's key, and visited pairs have disjoint keys; a side {S}
-    # can share S only with {S}, and {S} | {S} is irreducible.
-    low = (1 << (k + 1)) - 2
-    buckets: dict[int, list[int]] = {}
-    for j, mask in enumerate(masks):
-        buckets.setdefault(mask & low, []).append(j)
-    reachable: dict[int, list[list[int]]] = {}
-
-    hits = []
-    for i, mask_a in enumerate(masks):
-        key_a = mask_a & low
-        if key_a not in reachable:
-            reachable[key_a] = [js for key, js in buckets.items() if not key & key_a]
-        row = []
-        for js in reachable[key_a]:
-            for j in js[bisect_left(js, i):]:
-                if pruned and (cards[i] > maxima[j] or cards[j] > maxima[i]):
-                    continue
-                if not mask_a & masks[j]:
-                    row.append(j)
-        row.sort()
-        runs_a = runs_list[i]
-        hits.extend((runs_a, runs_list[j]) for j in row)
-    return hits, m * (m + 1) // 2
+    found = []
+    for key_a, rows in buckets.items():
+        for key_b, cols in buckets.items():
+            if key_a & key_b:
+                continue
+            for i in rows:
+                mask_a = masks[i]
+                found += [(i, j) for j in cols if i <= j and not mask_a & masks[j]]
+    found.sort()
+    return [(runs_list[i], runs_list[j]) for i, j in found], m * (m + 1) // 2
 
 
 def _scan_task(args: tuple[int, int, str]):

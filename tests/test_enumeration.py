@@ -325,11 +325,15 @@ class TestEnumerateIrreducible:
 
 
 class TestScanKernel:
+    # Caps past k*k, as at the budget edges: wide masks, sparse partners.
     @pytest.mark.parametrize(
-        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 9)]
+        "mode,k,cap",
+        [pytest.param("brute", k, k * k, id=f"brute-{k}") for k in range(1, 7)]
+        + [pytest.param("pruned", k, k * k, id=f"pruned-{k}") for k in range(1, 9)]
+        + [("brute", 1, 200), ("brute", 2, 80), ("brute", 3, 40), ("brute", 4, 30)],
     )
-    def test_join_matches_all_pairs_reference(self, mode, k):
-        for total in range(1, k * k + 1):
+    def test_join_matches_all_pairs_reference(self, mode, k, cap):
+        for total in range(1, cap + 1):
             assert enumeration._scan_sum(k, total, mode) == scan_sum_reference(
                 k, total, mode
             ), total
