@@ -34,13 +34,13 @@ partner, and a walk of the DAG enters a child only if its keys meet
 them, folding that run into its parent's subset sums as it goes; for
 S <= k, {S} has key 0 and partners everything.  The join's pairs have
 partnered sides, so it sees the same pairs in the same order, and no
-theorem is used.  m comes from a partition-count DP, which also sizes a
-survey before it starts.
+theorem is used.  Each node also counts its completions, so m is read
+off the root.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
-A cap whose candidates, counted before any sum is scanned, are over a
-fixed work budget fails with ResourceLimitError.
+Brute mode has a largest sum cap per k, beside the k limits; a larger
+cap fails with ResourceLimitError when the config is made.
 Work splits cleanly by S, which is what the optional worker pool
 parallelizes over; results merge in S order, so worker count never
 changes output.
@@ -60,6 +60,11 @@ from .irreducibility import _fold_run
 
 BRUTE_MAX_K = 7
 PRUNED_MAX_K = 9
+# The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
+# candidates, each weighed by the 64-bit words of its mask, stay within
+# 1,000,000 words.  A serial survey at each cap took 0.1-0.7 s on 2 vCPUs.
+# Pruned mode scans no sum above k*k, which needs 49,591 words at k=9.
+_BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
 
 _MODES = ("brute", "pruned")
 
@@ -87,6 +92,11 @@ class EnumConfig:
             )
         if self.sum_cap is None:
             object.__setattr__(self, "sum_cap", self.k * self.k)
+        if self.mode == "brute" and self.sum_cap > _BRUTE_MAX_CAP[self.k - 1]:
+            raise ResourceLimitError(
+                f"sum cap {self.sum_cap} is too large for k={self.k} in brute "
+                f"mode; the largest supported cap is {_BRUTE_MAX_CAP[self.k - 1]}"
+            )
         if self.sum_cap < 1:
             raise ValueError(f"sum_cap must be positive, got {self.sum_cap}")
         if self.length_window is not None:
@@ -121,26 +131,24 @@ class EllReport:
         }
 
 
-# The generator's nodes, and the partition counts, shared by every sum of
-# one survey and emptied when a survey starts, so a survey never reads
-# another's work.  They live at module level because `_scan_sum` gets
-# only (k, total, mode), in this process and in pool workers; a forked
-# worker holds its own copies.  k is part of each state, so `_scan_sum`
-# calls of different k never mix, and `enumerate_multisets` reads k=0
-# nodes, which no survey builds.
-_counts: dict = {}
+# The generator's nodes, shared by every sum of one survey and emptied
+# when a survey starts, so a survey never reads another's work.  They
+# live at module level because `_scan_sum` gets only (k, total, mode), in
+# this process and in pool workers; a forked worker holds its own copy.
+# k is part of each state, so `_scan_sum` calls of different k never
+# mix, and `enumerate_multisets` reads k=0 nodes, which no survey builds.
 _nodes: dict = {}
 
 
 def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
     """The generator state that partitions `remaining` into at most
     `max_len` parts of size at most `max_part`, after a prefix whose sums
-    in 0..k are the bits of `key`, as (keys, children).  keys is the
-    2^k-bit set of low keys its completions end with: bit K is set iff
-    one leaves bits 1..k of its sums equal to K << 1.  children lists
+    in 0..k are the bits of `key`, as (keys, children, count).  keys is
+    the 2^k-bit set of low keys its completions end with: bit K is set
+    iff one leaves bits 1..k of its sums equal to K << 1.  children lists
     (v, c, child) for each run of c copies of v a completion can start
     with, in descending-lexicographic order, or is None when nothing is
-    left."""
+    left.  count is the number of completions."""
     if max_part > remaining:
         max_part = remaining
     if max_len > remaining:
@@ -149,9 +157,10 @@ def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
     node = _nodes.get(state)
     if node is None:
         if remaining == 0:
-            node = (1 << (key >> 1), None)
+            node = (1 << (key >> 1), None, 1)
         else:
             keys = 0
+            count = 0
             children = []
             full = (2 << k) - 1
             for v in range(max_part, 0, -1):
@@ -165,8 +174,9 @@ def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
                     low = _fold_run(key, v, min(c, k // v)) & full
                     child = _node(k, rest, v - 1, max_len - c, low)
                     keys |= child[0]
+                    count += child[2]
                     children.append((v, c, child))
-            node = (keys, children)
+            node = (keys, children, count)
         _nodes[state] = node
     return node
 
@@ -228,11 +238,11 @@ def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
     candidates.  The walk of the sum's DAG builds only the candidates
-    whose low key misses some candidate's; m comes from the
-    partition-count DP.  The join AND-tests every pair drawn from two
-    buckets with disjoint low keys, in either mode, so the pairs it rules
-    out are decided without being visited; hits are sorted into
-    candidate order."""
+    whose low key misses some candidate's; m is the root's count.  The
+    join AND-tests every pair drawn from two buckets with disjoint low
+    keys, each unordered pair of buckets once, in either mode, so the
+    pairs it rules out are decided without being visited; hits are
+    sorted into candidate order."""
     runs_list = []
     masks = []
     # A key is a subset of its mask, so a B whose key meets A's fails the
@@ -241,7 +251,8 @@ def _scan_sum(k: int, total: int, mode: str):
     # makes a shared-value test redundant: each value of a side with two
     # or more elements is an interior sum at most k, so it lies in that
     # side's key, and visited pairs have disjoint keys; a side {S} can
-    # share S only with {S}, and {S} | {S} is irreducible.
+    # share S only with {S}, and {S} | {S} is irreducible.  Only key 0,
+    # the lone {S}, misses itself, so no other bucket pairs with itself.
     low = (1 << (k + 1)) - 2
     buckets: dict[int, list[int]] = {}
     # Bits 1 .. total-1: sums of proper nonempty submultisets.
@@ -255,16 +266,19 @@ def _scan_sum(k: int, total: int, mode: str):
         runs_list.append(runs)
         masks.append(mask)
         buckets.setdefault(mask & low, []).append(i)
-    m = _partition_count(total, min(k, total), min(max_len, total))
+    m = root[2]
 
     found = []
-    for key_a, rows in buckets.items():
-        for key_b, cols in buckets.items():
+    items = list(buckets.items())
+    for x, (key_a, rows) in enumerate(items):
+        for key_b, cols in items[x:]:
             if key_a & key_b:
                 continue
             for i in rows:
                 mask_a = masks[i]
-                found += [(i, j) for j in cols if i <= j and not mask_a & masks[j]]
+                found += [
+                    (i, j) if i < j else (j, i) for j in cols if not mask_a & masks[j]
+                ]
     found.sort()
     return [(runs_list[i], runs_list[j]) for i, j in found], m * (m + 1) // 2
 
@@ -289,63 +303,14 @@ def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
         yield from pool.map(_scan_task, tasks)
 
 
-# Most work a survey may take, in candidate mask words: each candidate
-# multiset of sum S counts once per 64-bit word of its S-bit mask, so the
-# wide masks of k = 1 and 2 weigh what they cost.  At the largest brute
-# cap it admits for each k (11280, 709, 222, 126, 87, 72, 65 for
-# k = 1..7) a serial survey took 0.1-0.7 s on a 2-vCPU VM; the default
-# caps of every k in range need under 160,000.
-_SURVEY_BUDGET = 1_000_000
-
-
-def _partition_count(n: int, max_part: int, max_len: int) -> int:
-    """Partitions of n into at most max_len parts of size at most max_part,
-    both at most n: either no part is max_part, or one is taken off."""
-    if n == 0:
-        return 1
-    if max_part == 0 or max_len == 0:
-        return 0
-    key = (n, max_part, max_len)
-    if key not in _counts:
-        rest = n - max_part
-        _counts[key] = _partition_count(n, max_part - 1, max_len) + _partition_count(
-            rest, min(max_part, rest), min(max_len - 1, rest)
-        )
-    return _counts[key]
-
-
-def _check_survey_cost(cfg: EnumConfig, top: int) -> None:
-    """Raise ResourceLimitError if scanning S = 1..top is over the budget.
-
-    The candidates of each sum are counted, not generated, by a
-    partition-count DP over the scan's own bounds, and counting stops at
-    the first sum that passes the budget."""
-    words = 0
-    # Ascending S keeps the recursion shallow: the states of smaller sums
-    # are already in the memo.
-    for S in range(1, top + 1):
-        m = _partition_count(S, min(cfg.k, S), min(_max_len(cfg.k, S, cfg.mode), S))
-        words += m * (S // 64 + 1)
-        if words > _SURVEY_BUDGET:
-            raise ResourceLimitError(
-                f"sum cap {cfg.sum_cap} is too large for k={cfg.k} in "
-                f"{cfg.mode} mode: sums up to {S} already need "
-                f"{words:,} candidate mask words, over the budget of "
-                f"{_SURVEY_BUDGET:,}"
-            )
-
-
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  The worker count and the survey's cost are
-    checked, and the survey memos emptied, when this is called, before
-    any sum is scanned."""
+    of size at most k.  The worker count is checked, and the node memo
+    emptied, when this is called, before any sum is scanned."""
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     workers = _worker_count(workers, top)
-    _counts.clear()
     _nodes.clear()
-    _check_survey_cost(cfg, top)
     tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
     if workers > 1:
         return _scan_pool(tasks, workers)

@@ -80,6 +80,7 @@ def test_partitions_match_reference(total):
                 root = enumeration._node(k, total, max_part, max_len, 1)
                 got = [runs for runs, _ in enumeration._partitions(root)]
                 assert got == expected, (k, max_part, max_len)
+                assert root[2] == len(expected), (k, max_part, max_len)
 
 
 _SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
@@ -384,26 +385,25 @@ class TestWorkerCount:
 
 
 class TestSurveyBudget:
-    @pytest.mark.parametrize(
-        "mode,k,budget",
-        [("brute", 1, 2000), ("brute", 3, 5000), ("brute", 6, 5000),
-         ("pruned", 5, 100), ("pruned", 9, 5000)],
-    )
-    def test_refused_from_the_first_sum_over_budget(self, monkeypatch, mode, k, budget):
-        # The words the scan would fold, counted from the generator itself:
-        # the DP must put the boundary at the same sum.
-        monkeypatch.setattr(enumeration, "_SURVEY_BUDGET", budget)
-        words = 0
-        for first_over in itertools.count(1):
-            max_len = k if mode == "pruned" else first_over
-            root = enumeration._node(0, first_over, k, max_len, 1)
-            m = sum(1 for _ in enumeration._partitions(root))
-            words += m * (first_over // 64 + 1)
-            if words > budget:
-                break
-        enumeration._scan_all(EnumConfig(k=k, sum_cap=first_over - 1, mode=mode), 1)
-        with pytest.raises(ResourceLimitError, match=f"sums up to {first_over} "):
-            enumeration._scan_all(EnumConfig(k=k, sum_cap=first_over, mode=mode), 1)
+    def test_brute_caps_are_the_last_within_a_million_mask_words(self):
+        # Each candidate of sum S weighs the 64-bit words of its S-bit mask.
+        assert len(enumeration._BRUTE_MAX_CAP) == enumeration.BRUTE_MAX_K
+        for k in range(1, enumeration.BRUTE_MAX_K + 1):
+            words = 0
+            for first_over in itertools.count(1):
+                m = enumeration._node(0, first_over, k, first_over, 1)[2]
+                words += m * (first_over // 64 + 1)
+                if words > 1_000_000:
+                    break
+            cap = first_over - 1
+            assert enumeration._BRUTE_MAX_CAP[k - 1] == cap, k
+            EnumConfig(k=k, sum_cap=cap)
+            prefix = f"sum cap {cap + 1} is too large for k={k} in brute mode"
+            with pytest.raises(ResourceLimitError, match=prefix):
+                EnumConfig(k=k, sum_cap=cap + 1)
+        # Pruned mode scans no sum above k*k, so it takes any cap.
+        for k in range(1, enumeration.PRUNED_MAX_K + 1):
+            EnumConfig(k=k, sum_cap=10**9, mode="pruned")
 
     def test_pruned_sums_above_k_squared_are_not_scanned(self, monkeypatch):
         scanned = []
