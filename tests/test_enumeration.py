@@ -405,6 +405,30 @@ class TestSurveyBudget:
         for k in range(1, enumeration.PRUNED_MAX_K + 1):
             EnumConfig(k=k, sum_cap=10**9, mode="pruned")
 
+    @pytest.mark.parametrize(
+        "mode,k,budget", [("brute", 1, 2000), ("brute", 3, 5000), ("brute", 6, 5000)]
+    )
+    def test_refused_from_the_first_sum_over_budget(self, monkeypatch, mode, k, budget):
+        # A cap worked out from a smaller word budget, with the words
+        # counted from the generator itself, holds from the first sum over
+        # it; the DAG's own counts must agree with the generator's.
+        words = 0
+        for first_over in itertools.count(1):
+            root = enumeration._node(0, first_over, k, first_over, 1)
+            m = sum(1 for _ in enumeration._partitions(root))
+            assert root[2] == m, first_over
+            words += m * (first_over // 64 + 1)
+            if words > budget:
+                break
+        cap = first_over - 1
+        caps = list(enumeration._BRUTE_MAX_CAP)
+        caps[k - 1] = cap
+        monkeypatch.setattr(enumeration, "_BRUTE_MAX_CAP", tuple(caps))
+        list(enumeration._scan_all(EnumConfig(k=k, sum_cap=cap, mode=mode), 1))
+        refusal = f"sum cap {first_over} is too large .* largest supported cap is {cap}$"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            EnumConfig(k=k, sum_cap=first_over, mode=mode)
+
     def test_pruned_sums_above_k_squared_are_not_scanned(self, monkeypatch):
         scanned = []
         scan_sum = enumeration._scan_sum
