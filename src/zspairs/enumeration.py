@@ -42,8 +42,8 @@ report states the sum cap it was computed under; nothing is extrapolated.
 Brute mode has a largest sum cap per k, beside the k limits; a larger
 cap fails with ResourceLimitError when the config is made.
 Work splits cleanly by S, which is what the optional worker pool
-parallelizes over; results merge in S order, so worker count never
-changes output.
+parallelizes over: each worker scans one contiguous block of sums, and
+results merge in S order, so worker count never changes output.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class EllReport:
 # live at module level because `_scan_sum` gets only (k, total, mode), in
 # this process and in pool workers; a forked worker holds its own copy.
 # k is part of each state, so `_scan_sum` calls of different k never
-# mix, and `enumerate_multisets` reads k=0 nodes, which no survey builds.
+# mix.  `enumerate_multisets` walks the same branch rule without them.
 _nodes: dict = {}
 
 
@@ -224,8 +224,23 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
         raise ValueError(f"k must be positive, got {k}")
     if total < 1:
         raise ValueError(f"total must be positive, got {total}")
-    for runs, _ in _partitions(_node(0, total, k, total, 1)):
+    for runs in _multiset_runs(total, k, ()):
         yield Multiset(runs)
+
+
+def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], ...]):
+    """`_node`'s branch rule walked lazily, with no memo: the completions
+    of `runs` that partition `remaining` into parts of size at most
+    `max_part`, in the same order.  With key width 0 and no length bound
+    the rule allows every count c of each v >= 2, since parts below v can
+    always fill the rest, and for v = 1 only c = remaining."""
+    if remaining == 0:
+        yield runs
+        return
+    for v in range(min(max_part, remaining), 1, -1):
+        for c in range(remaining // v, 0, -1):
+            yield from _multiset_runs(remaining - v * c, v - 1, runs + ((v, c),))
+    yield runs + ((1, remaining),)
 
 
 def _max_len(k: int, total: int, mode: str) -> int:
@@ -299,15 +314,21 @@ def _worker_count(workers: int, tasks: int) -> int:
 
 
 def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_scan_task, tasks)
+    # One contiguous block of sums per worker: neighbouring sums share
+    # most DAG nodes, which each worker memoizes for itself, and a block
+    # costs one round trip.  Sizing by the block count forks no idle worker.
+    size = -(-len(tasks) // workers)
+    with ProcessPoolExecutor(max_workers=-(-len(tasks) // size)) as pool:
+        yield from pool.map(_scan_task, tasks, chunksize=size)
 
 
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  The worker count is checked, and the node memo
-    emptied, when this is called, before any sum is scanned."""
+    of size at most k.  With more than one worker, each worker scans one
+    contiguous block of sums and the results merge in S order.  The
+    worker count is checked, and the node memo emptied, when this is
+    called, before any sum is scanned."""
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     workers = _worker_count(workers, top)
     _nodes.clear()

@@ -255,6 +255,13 @@ class TestEll:
         assert out == ""
         assert err == "error: workers must be at least 1, got 0\n"
 
+    def test_two_workers_print_the_serial_report(self, capsys):
+        argv = ("ell", "7", "--mode", "pruned", "--no-cache")
+        code1, out1, err1 = run(capsys, *argv, "--workers", "1")
+        code2, out2, err2 = run(capsys, *argv, "--workers", "2")
+        assert (code2, err2) == (code1, err1) == (0, "cache: off\n")
+        assert json.loads(out2) | {"wall_time": 0} == json.loads(out1) | {"wall_time": 0}
+
     def test_corrupt_cache_entry_is_a_miss(self, capsys, isolated_cache):
         _, expected, _ = run(capsys, "ell", "2")
         entry = next(isolated_cache.glob("*.json"))

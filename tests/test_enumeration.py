@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,20 @@ class TestEnumerateMultisets:
         seen = list(enumerate_multisets(4, 9))
         assert len(seen) == len(set(seen))
         assert all(m.sigma == 9 and m.max_value <= 4 for m in seen)
+
+    def test_leaves_the_node_memo_untouched(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_nodes", {})
+        # round((t + 3)**2 / 12) partitions of t into parts of at most 3.
+        assert sum(1 for _ in enumerate_multisets(3, 60)) == 331
+        assert enumeration._nodes == {}
+
+    def test_matches_the_dag_walk(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_nodes", {})
+        for k in range(1, 7):
+            for total in range(1, 16):
+                dag = enumeration._partitions(enumeration._node(0, total, k, total, 1))
+                expected = [Multiset(runs) for runs, _ in dag]
+                assert list(enumerate_multisets(k, total)) == expected, (k, total)
 
 
 def _runs(parts):
@@ -340,6 +355,32 @@ class TestScanKernel:
             ), total
 
 
+def _recording_pools(monkeypatch, cores):
+    """Stand in for the process pool on a machine with `cores` CPUs: each
+    pool built is appended to the returned list, with its worker count
+    and the chunk size its map was given, and maps in this process."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            self.chunksize = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 class TestWorkerCount:
     def test_rejects_fewer_than_one(self):
         for bad in (0, -3):
@@ -358,26 +399,35 @@ class TestWorkerCount:
         assert enumeration._worker_count(8, 36) == 1
 
     def test_pool_is_built_with_the_clamped_count(self, monkeypatch):
-        built = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        pools = _recording_pools(monkeypatch, cores=2)
         cfg = EnumConfig(k=3, sum_cap=9)
         assert compute_ell(cfg, workers=10**6).ell == 5
-        assert built == [2]
+        assert [pool.max_workers for pool in pools] == [2]
+        assert [pool.chunksize for pool in pools] == [5]
+
+    def test_pool_forks_no_worker_without_a_block(self, monkeypatch):
+        # 9 sums over 4 workers are 3 blocks of 3, so 3 processes.
+        pools = _recording_pools(monkeypatch, cores=4)
+        assert compute_ell(EnumConfig(k=3, sum_cap=9), workers=4).ell == 5
+        assert [pool.max_workers for pool in pools] == [3]
+        assert [pool.chunksize for pool in pools] == [3]
+
+    # Real pools on uneven splits: brute k=3 cap 10 is blocks of 5/5 and
+    # 4/4/2, pruned k=5's 25 sums are 13/12 and 9/9/7.
+    @pytest.mark.parametrize(
+        "cfg",
+        [EnumConfig(k=3, sum_cap=10), EnumConfig(k=5, mode="pruned")],
+        ids=["brute-3-cap10", "pruned-5"],
+    )
+    def test_uneven_blocks_do_not_change_output(self, monkeypatch, cfg):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        reports = {
+            w: replace(compute_ell(cfg, workers=w), wall_time=0.0) for w in (1, 2, 3)
+        }
+        streams = {w: list(enumerate_irreducible(cfg, workers=w)) for w in (1, 2, 3)}
+        assert reports[1].ell > 0 and streams[1]
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+        assert streams[2] == streams[1] and streams[3] == streams[1]
 
     def test_bad_count_fails_before_streaming(self):
         with pytest.raises(ValueError):
