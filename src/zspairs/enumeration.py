@@ -20,22 +20,26 @@ definition alone, so brute mode stays theorem-free, and the candidate
 count reported stays m(m+1)/2 for m same-sum multisets.
 
 The candidates of a sum come from a memoized DAG of generator states:
-what is left, the part and length bounds, and the prefix's sums in
-0..k, the only ones later runs can move into the low key (a candidate's
-sums in 1..k, its bucket in the join).  One branch rule builds each
-node's children: a run of c copies of v is a child only if parts below
-v can fill the rest, rest <= (v - 1) * (max_len - c), a gap that grows
-by one with each smaller c, so the count loop stops at the first miss
-and no child yields nothing.  Each node also holds the low keys its
-completions end with.  Most candidates have no partner: their key meets
-every same-sum candidate's, so the join would never visit them.  The
-root's keys, complemented and closed downwards, are the keys with a
-partner, and a walk of the DAG enters a child only if its keys meet
-them, folding that run into its parent's subset sums as it goes; for
-S <= k, {S} has key 0 and partners everything.  The join's pairs have
-partnered sides, so it sees the same pairs in the same order, and no
-theorem is used.  Each node also counts its completions, so m is read
-off the root.
+what is left, the part and length bounds, and the prefix's sums in 0..k,
+the only ones later runs can move into the low key (a candidate's sums
+in 1..k, its bucket in the join).  A state has at most two edges: take
+one more part of its largest size p, or skip to parts below p, which
+exists only if they can fill what is left, (p - 1) * max_len >= rest, so
+no state yields nothing.  A state reaches the runs of smaller parts
+through its skip, so they are stored once, not again in every state with
+a larger part bound.  Each take chain is built in a loop, so the build
+recurses once per part size, not once per part.  Each node also holds
+the low keys its completions end with.  Most candidates have no partner:
+their key meets every same-sum candidate's, so the join would never
+visit them.  The root's keys, complemented and closed downwards, are the
+keys with a partner.  A walk of the DAG follows each take chain while
+its keys meet them; the skip of the c-th state on the chain holds the
+completions with exactly c copies of p, and the walk enters it only if
+its keys meet them, folding that run into the prefix's subset sums once,
+on entry.  For S <= k, {S} has key 0 and partners everything.  The
+join's pairs have partnered sides, so it sees the same pairs in the same
+order, and no theorem is used.  Each node also counts its completions,
+so m is read off the root.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -136,48 +140,74 @@ class EllReport:
 # live at module level because `_scan_sum` gets only (k, total, mode), in
 # this process and in pool workers; a forked worker holds its own copy.
 # k is part of each state, so `_scan_sum` calls of different k never
-# mix.  `enumerate_multisets` walks the same branch rule without them.
+# mix.  `enumerate_multisets` yields the same partitions without them.
 _nodes: dict = {}
 
 
 def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
     """The generator state that partitions `remaining` into at most
     `max_len` parts of size at most `max_part`, after a prefix whose sums
-    in 0..k are the bits of `key`, as (keys, children, count).  keys is
-    the 2^k-bit set of low keys its completions end with: bit K is set
-    iff one leaves bits 1..k of its sums equal to K << 1.  children lists
-    (v, c, child) for each run of c copies of v a completion can start
-    with, in descending-lexicographic order, or is None when nothing is
-    left.  count is the number of completions."""
+    in 0..k are the bits of `key`, as (keys, count, part, take, skip).
+    keys is the 2^k-bit set of low keys its completions end with: bit K
+    is set iff one leaves bits 1..k of its sums equal to K << 1, and
+    count is the number of completions.  part is `max_part` clamped to
+    `remaining`.  take is the state after one more part of that size,
+    skip the state whose parts are all smaller, or None when that leaves
+    too little room.  A leaf (nothing left) has part 0 and no edges; a
+    part of 1 is terminal, with the count of ones in place of take; a
+    state with too little room is empty, with count 0 and no keys."""
     if max_part > remaining:
         max_part = remaining
     if max_len > remaining:
         max_len = remaining
     state = (k, remaining, max_part, max_len, key)
     node = _nodes.get(state)
-    if node is None:
-        if remaining == 0:
-            node = (1 << (key >> 1), None, 1)
-        else:
-            keys = 0
-            count = 0
-            children = []
-            full = (2 << k) - 1
-            for v in range(max_part, 0, -1):
-                if v * max_len < remaining:
-                    break
-                for c in range(min(remaining // v, max_len), 0, -1):
-                    rest = remaining - v * c
-                    if rest > (v - 1) * (max_len - c):
-                        break
-                    # Taking more than k // v copies adds only sums above k.
-                    low = _fold_run(key, v, min(c, k // v)) & full
-                    child = _node(k, rest, v - 1, max_len - c, low)
-                    keys |= child[0]
-                    count += child[2]
-                    children.append((v, c, child))
-            node = (keys, children, count)
-        _nodes[state] = node
+    if node is not None:
+        return node
+    full = (2 << k) - 1
+    if remaining == 0:
+        node = (1 << (key >> 1), 1, 0, None, None)
+    elif max_part * max_len < remaining:
+        node = (0, 0, max_part, None, None)
+    elif max_part == 1:
+        # Past k ones, a one adds no sum in 0..k.
+        for _ in range(min(remaining, k)):
+            key = (key | key << 1) & full
+        node = (1 << (key >> 1), 1, 1, remaining, None)
+    else:
+        # Take chains are built in a loop, down to a stored state or to
+        # the first whose part is clamped below p; only parts below p
+        # recurse, so the depth is bounded by the part, not the sum.
+        p = max_part
+        chain = []
+        while True:
+            chain.append(state)
+            remaining -= p
+            max_len -= 1
+            # One copy of p: the same shift-or step as `_fold_run`.
+            key = (key | key << p) & full
+            if remaining < p:
+                node = _node(k, remaining, p, max_len, key)
+                break
+            if max_len > remaining:
+                max_len = remaining
+            state = (k, remaining, p, max_len, key)
+            node = _nodes.get(state)
+            if node is not None:
+                break
+        for state in reversed(chain):
+            _, remaining, _, max_len, key = state
+            keys = node[0]
+            count = node[1]
+            skip = None
+            if (p - 1) * max_len >= remaining:
+                skip = _node(k, remaining, p - 1, max_len, key)
+                keys |= skip[0]
+                count += skip[1]
+            node = (keys, count, p, node, skip)
+            _nodes[state] = node
+        return node
+    _nodes[state] = node
     return node
 
 
@@ -186,15 +216,37 @@ def _partitions(
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """The completions of `node` whose low key is in `partners`, each
     appended to `runs`, as (runs, sums) pairs in generation order.  sums
-    is `bits` with every new run folded in, once, as its child is
+    is `bits` with every new run folded in, once, as its state is
     entered, so from the defaults it holds every submultiset sum."""
-    children = node[1]
-    if children is None:
-        yield runs, bits
-        return
-    for v, c, child in children:
-        if child[0] & partners:
-            yield from _partitions(child, partners, runs + ((v, c),), _fold_run(bits, v, c))
+    while node[0] & partners:
+        p = node[2]
+        if p == 0:
+            yield runs, bits
+            return
+        if p == 1:
+            yield runs + ((1, node[3]),), _fold_run(bits, 1, node[3])
+            return
+        # Follow the take chain as far as its keys meet the partners: the
+        # c-th state holds c copies of p, its skip exactly c, and the
+        # chain ends at the first state whose part is clamped below p.
+        ends = []
+        c = 0
+        take = node[3]
+        while take[0] & partners:
+            c += 1
+            if take[2] != p:
+                ends.append((c, take))
+                break
+            rest = take[4]
+            if rest is not None and rest[0] & partners:
+                ends.append((c, rest))
+            take = take[3]
+        # Longest run first.
+        for c, rest in reversed(ends):
+            yield from _partitions(rest, partners, runs + ((p, c),), _fold_run(bits, p, c))
+        node = node[4]
+        if node is None:
+            return
 
 
 def _partners(k: int, keys: int) -> int:
@@ -229,11 +281,11 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
 
 
 def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], ...]):
-    """`_node`'s branch rule walked lazily, with no memo: the completions
-    of `runs` that partition `remaining` into parts of size at most
-    `max_part`, in the same order.  With key width 0 and no length bound
-    the rule allows every count c of each v >= 2, since parts below v can
-    always fill the rest, and for v = 1 only c = remaining."""
+    """The DAG's partitions generated lazily, with no memo: the
+    completions of `runs` that partition `remaining` into parts of size
+    at most `max_part`, in `_partitions`' order.  With key width 0 and no
+    length bound, parts below any v >= 2 can always fill the rest, so
+    every count c of v is a run; a run of ones takes all that is left."""
     if remaining == 0:
         yield runs
         return
@@ -281,7 +333,7 @@ def _scan_sum(k: int, total: int, mode: str):
         runs_list.append(runs)
         masks.append(mask)
         buckets.setdefault(mask & low, []).append(i)
-    m = root[2]
+    m = root[1]
 
     found = []
     items = list(buckets.items())

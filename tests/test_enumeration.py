@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -95,7 +96,7 @@ def test_partitions_match_reference(total):
                 root = enumeration._node(k, total, max_part, max_len, 1)
                 got = [runs for runs, _ in enumeration._partitions(root)]
                 assert got == expected, (k, max_part, max_len)
-                assert root[2] == len(expected), (k, max_part, max_len)
+                assert root[1] == len(expected), (k, max_part, max_len)
 
 
 _SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
@@ -136,20 +137,36 @@ def _assert_walk_folds_once_per_prefix(calls, root, partners=-1):
 
 @pytest.mark.parametrize("total", range(1, 13))
 def test_partitions_enter_no_dead_branch(total, monkeypatch):
-    # The branch rule builds no child that yields nothing: every node
-    # reached from a root with a partition has a child or is a leaf.
+    # Take and skip build no state that yields nothing: every node
+    # reached from a root with a partition has a take or is terminal (a
+    # part of 1) or a leaf, and has a skip exactly when parts below its
+    # own can still fill what is left.  A root without a partition is
+    # empty and yields nothing.
     calls = _counting_folds(monkeypatch)
     for max_part in range(1, total + 1):
         for max_len in range(1, total + 1):
             root = enumeration._node(0, total, max_part, max_len, 1)
-            if not root[1]:
-                assert max_part * max_len < total, (max_part, max_len)
+            if max_part * max_len < total:
+                assert root[:2] == (0, 0) and root[3:] == (None, None), (max_part, max_len)
+                calls[0] = 0
+                assert list(enumeration._partitions(root)) == []
+                assert calls[0] == 0
                 continue
-            todo = [root]
+            todo = [(root, total, max_part, max_len)]
             while todo:
-                children = todo.pop()[1]
-                assert children is None or children, (max_part, max_len)
-                todo.extend(child for _, _, child in children or ())
+                node, rest, part, length = todo.pop()
+                part, length = min(part, rest), min(length, rest)
+                keys, count, node_part, take, skip = node
+                assert keys and count and node_part == part, (max_part, max_len)
+                if rest == 0 or part == 1:
+                    # A terminal holds its count of ones in place of take.
+                    assert (take, skip) == (None if rest == 0 else rest, None)
+                    continue
+                assert take is not None, (max_part, max_len)
+                todo.append((take, rest - part, part, length - 1))
+                assert (skip is not None) == ((part - 1) * length >= rest), (max_part, max_len)
+                if skip is not None:
+                    todo.append((skip, rest, part - 1, length))
             _assert_walk_folds_once_per_prefix(calls, root)
 
 
@@ -354,6 +371,50 @@ class TestScanKernel:
                 k, total, mode
             ), total
 
+    # sha256 over repr(_scan_sum(k, S, mode)) for S = 1..cap, recorded
+    # from the per-run child DAG that the take/skip DAG replaced, where
+    # the all-pairs reference is too slow to run.
+    _DIGESTS = {
+        ("pruned", 9, 81): "80fb9e5d7987eb74735b6f414384bf831a0d167ca6451b8c35ea7b315ced4266",
+        ("brute", 7, 49): "95463f6d509e63b9cd72db83575278d9e8bd70cb7ce102ca3afde447c8a5fd26",
+        ("brute", 2, 709): "4cc921dbd78a1a2fe2b223bf106ec9701a32e6905a6bdf7c23564c85d433cb5a",
+        ("brute", 3, 222): "6cf82bc2f8718d73ea25cd30c48b1ff3db4f5999388c8ce4a806c3d54687782a",
+    }
+
+    @pytest.mark.parametrize("mode,k,cap", list(_DIGESTS), ids=str)
+    def test_stream_matches_recorded_digest(self, monkeypatch, mode, k, cap):
+        monkeypatch.setattr(enumeration, "_nodes", {})
+        h = hashlib.sha256()
+        for total in range(1, cap + 1):
+            h.update(repr(enumeration._scan_sum(k, total, mode)).encode())
+        assert h.hexdigest() == self._DIGESTS[mode, k, cap]
+
+    def test_depth_does_not_grow_with_the_sum(self, monkeypatch):
+        # Take chains are built in a loop and the walk recurses once per
+        # run, so surveys at the largest brute caps, and pruned k=9, run
+        # within 64 frames of the caller.  Each top sum is also scanned
+        # from an empty memo, as a pool worker starts its block, where
+        # no earlier sum has built the lower part of its chains.
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 64)
+        try:
+            for k, cap in [(2, 709), (1, 11280), (7, 65)]:
+                monkeypatch.setattr(enumeration, "_nodes", {})
+                enumeration._scan_sum(k, cap, "brute")
+                for _ in enumeration._scan_all(EnumConfig(k=k, sum_cap=cap), 1):
+                    pass
+            monkeypatch.setattr(enumeration, "_nodes", {})
+            enumeration._scan_sum(9, 81, "pruned")
+            for _ in enumerate_irreducible(EnumConfig(k=9, mode="pruned")):
+                pass
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 def _recording_pools(monkeypatch, cores):
     """Stand in for the process pool on a machine with `cores` CPUs: each
@@ -441,7 +502,7 @@ class TestSurveyBudget:
         for k in range(1, enumeration.BRUTE_MAX_K + 1):
             words = 0
             for first_over in itertools.count(1):
-                m = enumeration._node(0, first_over, k, first_over, 1)[2]
+                m = enumeration._node(0, first_over, k, first_over, 1)[1]
                 words += m * (first_over // 64 + 1)
                 if words > 1_000_000:
                     break
@@ -466,7 +527,7 @@ class TestSurveyBudget:
         for first_over in itertools.count(1):
             root = enumeration._node(0, first_over, k, first_over, 1)
             m = sum(1 for _ in enumeration._partitions(root))
-            assert root[2] == m, first_over
+            assert root[1] == m, first_over
             words += m * (first_over // 64 + 1)
             if words > budget:
                 break
