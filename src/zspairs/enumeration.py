@@ -4,20 +4,35 @@ The survey runs sum by sum: for each common sum S up to a cap, every
 unordered pair of same-sum multisets with values in [1, k] is a
 candidate.  Brute mode decides them all and consults no structural
 theorem, so whatever it reports about maximum lengths is discovered, not
-assumed.  Pruned mode exploits the proved bound that each side's
-cardinality is at most the other side's maximum to cut candidate
-generation, and is validated against brute mode on overlapping ranges.
+assumed; it is the oracle pruned mode is validated against on
+overlapping ranges.
 
-Both modes share one scan kernel, a disjointness join rather than an
+Pruned mode generates no candidates.  It rests on the derivation lemma
+(see `derivation`): an (a, b)-derivation maps an irreducible pair to an
+irreducible pair one element shorter, with a smaller sum and neither
+maximum raised, and every irreducible pair of length >= 3 has a valid
+(max A, max B)-derivation, its canonical parent.  So the irreducible
+pairs with values <= k form a tree with the roots v | v, v <= k, and a
+reverse search (Avis and Fukuda, 1996) lists them from a stack: a child
+replaces one value d on side X by d + e and adds e to side Y, and is
+kept only if its sides' interior sums are disjoint and the node at hand
+is its canonical parent, so no seen-set is needed.  Since each side's
+cardinality is at most the other side's maximum, no irreducible pair has
+a sum above k*k, and pruned mode stops there.  Its hits are sorted into
+brute mode's order, and it still reports m(m+1)/2 candidate pairs for
+the m same-sum multisets of at most k parts that it no longer builds.
+
+Brute mode's scan kernel is a disjointness join rather than an
 all-pairs loop.  A pair is irreducible iff the interior achievable-sum
 masks of its sides do not meet.  Every value of B is itself a sum of B,
 so B's mask restricted to bits 1..k already meets A's whenever A contains
 one of B's values as an interior sum; such pairs are skipped without
 being visited.  Candidates are bucketed by those low k bits, and every
 pair drawn from two buckets with disjoint keys gets the full-mask AND
-test; the mode only chooses the candidates.  The skip follows from the
-definition alone, so brute mode stays theorem-free, and the candidate
-count reported stays m(m+1)/2 for m same-sum multisets.
+test.  The skip follows from the definition alone, so brute mode stays
+theorem-free.  `_scan_sum(k, S, "pruned")` runs the same kernel over
+pruned mode's candidates, and is the reference the reverse search is
+tested against.
 
 The candidates of a sum come from a memoized DAG of generator states:
 what is left, the part and length bounds, and the prefix's sums in 0..k,
@@ -39,15 +54,18 @@ its keys meet them, folding that run into the prefix's subset sums once,
 on entry.  For S <= k, {S} has key 0 and partners everything.  The
 join's pairs have partnered sides, so it sees the same pairs in the same
 order, and no theorem is used.  Each node also counts its completions,
-so m is read off the root.
+so m is read off the root; pruned mode reads its m from a root with key
+width 0.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
 Brute mode has a largest sum cap per k, beside the k limits; a larger
 cap fails with ResourceLimitError when the config is made.
-Work splits cleanly by S, which is what the optional worker pool
+Brute work splits cleanly by S, which is what the optional worker pool
 parallelizes over: each worker scans one contiguous block of sums, and
-results merge in S order, so worker count never changes output.
+results merge in S order, so worker count never changes output.  Pruned
+mode runs in the calling process at any worker count: the root 1 | 1
+holds nearly the whole tree, so its roots would not balance a pool.
 """
 
 from __future__ import annotations
@@ -63,11 +81,12 @@ from .formats import pair_to_obj
 from .irreducibility import _fold_run
 
 BRUTE_MAX_K = 7
-PRUNED_MAX_K = 9
+PRUNED_MAX_K = 12
 # The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
 # candidates, each weighed by the 64-bit words of its mask, stay within
 # 1,000,000 words.  A serial survey at each cap took 0.1-0.7 s on 2 vCPUs.
-# Pruned mode scans no sum above k*k, which needs 49,591 words at k=9.
+# Pruned mode builds no candidates and takes any cap; at PRUNED_MAX_K its
+# whole survey took 0.12-0.19 s and peaked at 22 MB on 2 vCPUs.
 _BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
 
 _MODES = ("brute", "pruned")
@@ -350,6 +369,64 @@ def _scan_sum(k: int, total: int, mode: str):
     return [(runs_list[i], runs_list[j]) for i, j in found], m * (m + 1) // 2
 
 
+def _inserted(runs: tuple[tuple[int, int], ...], value: int) -> tuple[tuple[int, int], ...]:
+    """`runs` with one more copy of `value`."""
+    for i, (v, c) in enumerate(runs):
+        if v == value:
+            return runs[:i] + ((v, c + 1),) + runs[i + 1 :]
+        if v < value:
+            return runs[:i] + ((value, 1),) + runs[i:]
+    return runs + ((value, 1),)
+
+
+def _derived_sums(k: int, top: int):
+    """Pruned mode's per-sum results for S = 1..top, equal to
+    `_scan_sum(k, S, "pruned")`, by reverse search from the roots v | v.
+
+    A stack entry is (sum, X, X's subset sums, Y, Y's subset sums), where
+    X is the side whose value d becomes d + e as Y gains e.  The child's
+    maxima are then d + e and e exactly when e >= max Y and d + e >= max X,
+    and its (d + e, e)-derivation, its canonical parent, undoes the move;
+    so those moves reach each pair once.  A pair is pushed once per side
+    as X, a root once, since its sides are equal."""
+    found: list[list] = [[] for _ in range(top + 1)]
+    stack = []
+    for v in range(1, min(k, top) + 1):
+        runs = ((v, 1),)
+        found[v].append((runs, runs))
+        stack.append((v, runs, 1 | 1 << v, runs, 1 | 1 << v))
+    while stack:
+        total, x, x_sums, y, y_sums = stack.pop()
+        max_x = x[0][0]
+        max_y = y[0][0]
+        for i, (d, c) in enumerate(x):
+            lo = max(max_y, max_x - d)
+            hi = min(k - d, top - total)
+            if lo > hi:
+                continue
+            rest = x[:i] + ((d, c - 1),) + x[i + 1 :] if c > 1 else x[:i] + x[i + 1 :]
+            # Subset sums cannot drop an element, so X - d is folded anew.
+            rest_sums = 1
+            for v, n in rest:
+                rest_sums = _fold_run(rest_sums, v, n)
+            for e in range(lo, hi + 1):
+                new_x_sums = rest_sums | rest_sums << (d + e)
+                new_y_sums = y_sums | y_sums << e
+                if new_x_sums & new_y_sums & ((1 << (total + e)) - 2):
+                    continue
+                new_x = _inserted(rest, d + e)
+                new_y = _inserted(y, e)
+                found[total + e].append((new_x, new_y) if new_x > new_y else (new_y, new_x))
+                stack.append((total + e, new_x, new_x_sums, new_y, new_y_sums))
+                stack.append((total + e, new_y, new_y_sums, new_x, new_x_sums))
+    for total in range(1, top + 1):
+        hits = found[total]
+        # Run tuples order as their multisets do: descending is candidate order.
+        hits.sort(reverse=True)
+        m = _node(0, total, k, _max_len(k, total, "pruned"), 1)[1]
+        yield hits, m * (m + 1) // 2
+
+
 def _scan_task(args: tuple[int, int, str]):
     return _scan_sum(*args)
 
@@ -377,13 +454,16 @@ def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  With more than one worker, each worker scans one
-    contiguous block of sums and the results merge in S order.  The
+    of size at most k.  Pruned mode runs its reverse search in this
+    process.  In brute mode with more than one worker, each worker scans
+    one contiguous block of sums and the results merge in S order.  The
     worker count is checked, and the node memo emptied, when this is
     called, before any sum is scanned."""
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     workers = _worker_count(workers, top)
     _nodes.clear()
+    if cfg.mode == "pruned":
+        return _derived_sums(cfg.k, top)
     tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
     if workers > 1:
         return _scan_pool(tasks, workers)

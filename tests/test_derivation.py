@@ -342,3 +342,31 @@ class TestIrreducibilityPreservation:
                     assert q.balanced
                     checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("k,derivations", [(5, 99), (6, 256), (7, 796)])
+    def test_brute_set_is_closed_under_derivation(self, k, derivations):
+        # Pruned surveys grow pairs by inverse derivation, so they rest on
+        # this; brute mode finds its set without it.
+        brute = set(enumerate_irreducible(EnumConfig(k=k)))
+        landed = 0
+        for p in brute:
+            if p.length <= 2:
+                continue
+            for a in p.a.values():
+                for b in p.b.values():
+                    try:
+                        q = derive(p, a, b)
+                    except DerivationError:
+                        continue
+                    assert q in brute, (p, a, b)
+                    landed += 1
+        assert landed == derivations
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_brute_pair_has_its_canonical_parent(self, k):
+        # The (max A, max B)-derivation is the parent the reverse search
+        # reaches each pair from; it must be valid and stay in the set.
+        brute = set(enumerate_irreducible(EnumConfig(k=k)))
+        for p in brute:
+            if p.length > 2:
+                assert derive(p, p.a.max_value, p.b.max_value) in brute, p

@@ -279,9 +279,9 @@ class TestEnumConfig:
         assert ResourceLimitError is core.ResourceLimitError
 
     def test_pruned_limit(self):
-        EnumConfig(k=9, mode="pruned")
-        with pytest.raises(ResourceLimitError):
-            EnumConfig(k=10, mode="pruned")
+        EnumConfig(k=12, mode="pruned")
+        with pytest.raises(ResourceLimitError, match="pruned-mode limit of 12"):
+            EnumConfig(k=13, mode="pruned")
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -342,6 +342,15 @@ class TestEnumerateIrreducible:
         ]
         assert brute == pruned
 
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_brute_and_pruned_streams_identical_beside_k6(self, k):
+        brute = [pair_to_json(p) for p in enumerate_irreducible(EnumConfig(k=k))]
+        pruned = [
+            pair_to_json(p)
+            for p in enumerate_irreducible(EnumConfig(k=k, mode="pruned"))
+        ]
+        assert brute == pruned
+
     @pytest.mark.parametrize("k,cap", [(4, 24), (5, 40)])
     def test_no_irreducible_pair_above_k_squared(self, k, cap):
         # The default cap k*k rests on |A| <= max B and |B| <= max A;
@@ -388,6 +397,21 @@ class TestScanKernel:
         for total in range(1, cap + 1):
             h.update(repr(enumeration._scan_sum(k, total, mode)).encode())
         assert h.hexdigest() == self._DIGESTS[mode, k, cap]
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_pruned_stream_matches_the_scan_kernel(self, k):
+        # Pruned surveys run the reverse search; the kernel's pruned scan
+        # is the reference for every sum it could hold a pair at.
+        stream = list(enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1))
+        assert len(stream) == k * k
+        for total, item in enumerate(stream, 1):
+            assert item == enumeration._scan_sum(k, total, "pruned"), total
+
+    def test_pruned_stream_matches_recorded_digest(self):
+        h = hashlib.sha256()
+        for item in enumeration._scan_all(EnumConfig(k=9, mode="pruned"), 1):
+            h.update(repr(item).encode())
+        assert h.hexdigest() == self._DIGESTS["pruned", 9, 81]
 
     def test_depth_does_not_grow_with_the_sum(self, monkeypatch):
         # Take chains are built in a loop and the walk recurses once per
@@ -474,7 +498,8 @@ class TestWorkerCount:
         assert [pool.chunksize for pool in pools] == [3]
 
     # Real pools on uneven splits: brute k=3 cap 10 is blocks of 5/5 and
-    # 4/4/2, pruned k=5's 25 sums are 13/12 and 9/9/7.
+    # 4/4/2.  Pruned mode builds no pool, so its output must not depend
+    # on the count either.
     @pytest.mark.parametrize(
         "cfg",
         [EnumConfig(k=3, sum_cap=10), EnumConfig(k=5, mode="pruned")],
@@ -491,8 +516,20 @@ class TestWorkerCount:
         assert streams[2] == streams[1] and streams[3] == streams[1]
 
     def test_bad_count_fails_before_streaming(self):
-        with pytest.raises(ValueError):
-            enumerate_irreducible(EnumConfig(k=2), workers=0)
+        for mode in ("brute", "pruned"):
+            with pytest.raises(ValueError):
+                enumerate_irreducible(EnumConfig(k=2, mode=mode), workers=0)
+
+    def test_pruned_survey_builds_no_pool(self, monkeypatch):
+        # One root, 1 | 1, holds most of the tree (1,202 of 1,270 pairs
+        # at k=9), so the search runs in this process at any count.
+        pools = _recording_pools(monkeypatch, cores=4)
+        cfg = EnumConfig(k=5, mode="pruned")
+        assert compute_ell(cfg, workers=4).ell == 9
+        assert list(enumerate_irreducible(cfg, workers=4)) == list(
+            enumerate_irreducible(cfg)
+        )
+        assert pools == []
 
 
 class TestSurveyBudget:
@@ -541,14 +578,19 @@ class TestSurveyBudget:
             EnumConfig(k=k, sum_cap=first_over, mode=mode)
 
     def test_pruned_sums_above_k_squared_are_not_scanned(self, monkeypatch):
+        # The survey yields one result per sum, in S order, and each hit's
+        # sum is the sum of the result that holds it.
         scanned = []
-        scan_sum = enumeration._scan_sum
+        scan_all = enumeration._scan_all
 
-        def recording_scan_sum(k, total, mode):
-            scanned.append(total)
-            return scan_sum(k, total, mode)
+        def recording_scan_all(cfg, workers):
+            for total, (hits, sc) in enumerate(scan_all(cfg, workers), 1):
+                for runs_a, runs_b in hits:
+                    assert Multiset(runs_a).sigma == Multiset(runs_b).sigma == total
+                scanned.append(total)
+                yield hits, sc
 
-        monkeypatch.setattr(enumeration, "_scan_sum", recording_scan_sum)
+        monkeypatch.setattr(enumeration, "_scan_all", recording_scan_all)
         full = compute_ell(EnumConfig(k=4, sum_cap=16, mode="pruned"))
         report = compute_ell(EnumConfig(k=4, sum_cap=10**6, mode="pruned"))
         assert scanned == list(range(1, 17)) * 2
