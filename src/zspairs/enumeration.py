@@ -61,18 +61,15 @@ The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
 Brute mode has a largest sum cap per k, beside the k limits; a larger
 cap fails with ResourceLimitError when the config is made.
-Brute work splits cleanly by S, which is what the optional worker pool
-parallelizes over: each worker scans one contiguous block of sums, and
-results merge in S order, so worker count never changes output.  Pruned
-mode runs in the calling process at any worker count: the root 1 | 1
-holds nearly the whole tree, so its roots would not balance a pool.
+Every survey runs in the calling process, sum by sum in S order.  The
+worker count is checked but changes nothing: starting a process pool
+(about 10 ms on 2 vCPUs) cost more than it saved on every shipped brute
+survey, and pruned mode's tree hangs almost entirely off the root 1 | 1.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -84,7 +81,8 @@ BRUTE_MAX_K = 7
 PRUNED_MAX_K = 12
 # The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
 # candidates, each weighed by the 64-bit words of its mask, stay within
-# 1,000,000 words.  A serial survey at each cap took 0.1-0.7 s on 2 vCPUs.
+# 1,000,000 words.  A survey at each cap took 4-66 ms on 2 vCPUs (best of
+# 5, three rounds), the most at k=1 and k=7.
 # Pruned mode builds no candidates and takes any cap; at PRUNED_MAX_K its
 # whole survey took 0.12-0.19 s and peaked at 22 MB on 2 vCPUs.
 _BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
@@ -110,8 +108,7 @@ class EnumConfig:
         limit = BRUTE_MAX_K if self.mode == "brute" else PRUNED_MAX_K
         if self.k > limit:
             raise ResourceLimitError(
-                f"k={self.k} exceeds the {self.mode}-mode limit of {limit}; "
-                f"the candidate space grows too fast beyond it"
+                f"k={self.k} exceeds the {self.mode}-mode limit of {limit}"
             )
         if self.sum_cap is None:
             object.__setattr__(self, "sum_cap", self.k * self.k)
@@ -156,8 +153,7 @@ class EllReport:
 
 # The generator's nodes, shared by every sum of one survey and emptied
 # when a survey starts, so a survey never reads another's work.  They
-# live at module level because `_scan_sum` gets only (k, total, mode), in
-# this process and in pool workers; a forked worker holds its own copy.
+# live at module level because `_scan_sum` gets only (k, total, mode).
 # k is part of each state, so `_scan_sum` calls of different k never
 # mix.  `enumerate_multisets` yields the same partitions without them.
 _nodes: dict = {}
@@ -428,46 +424,24 @@ def _derived_sums(k: int, top: int):
 
 
 def _scan_task(args: tuple[int, int, str]):
+    """One sum of a brute survey: `_scan_sum` on a (k, total, mode) task."""
     return _scan_sum(*args)
-
-
-def _worker_count(workers: int, tasks: int) -> int:
-    """Processes worth starting: never more than the cores or the tasks.
-
-    A fork-started pool spawns every worker it is given at once, so an
-    unchecked count is an unbounded process fan-out.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1, tasks)
-
-
-def _scan_pool(tasks: list[tuple[int, int, str]], workers: int):
-    # One contiguous block of sums per worker: neighbouring sums share
-    # most DAG nodes, which each worker memoizes for itself, and a block
-    # costs one round trip.  Sizing by the block count forks no idle worker.
-    size = -(-len(tasks) // workers)
-    with ProcessPoolExecutor(max_workers=-(-len(tasks) // size)) as pool:
-        yield from pool.map(_scan_task, tasks, chunksize=size)
 
 
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Pruned mode runs its reverse search in this
-    process.  In brute mode with more than one worker, each worker scans
-    one contiguous block of sums and the results merge in S order.  The
-    worker count is checked, and the node memo emptied, when this is
-    called, before any sum is scanned."""
+    of size at most k.  Both modes run in this process; pruned mode runs
+    its reverse search, brute mode scans sum by sum.  The worker count
+    is checked, and the node memo emptied, when this is called, before
+    any sum is scanned."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
-    workers = _worker_count(workers, top)
     _nodes.clear()
     if cfg.mode == "pruned":
         return _derived_sums(cfg.k, top)
-    tasks = [(cfg.k, S, cfg.mode) for S in range(1, top + 1)]
-    if workers > 1:
-        return _scan_pool(tasks, workers)
-    return (_scan_sum(*task) for task in tasks)
+    return map(_scan_task, [(cfg.k, S, cfg.mode) for S in range(1, top + 1)])
 
 
 def _pairs(cfg: EnumConfig, hits) -> Iterator[Pair]:

@@ -2,12 +2,17 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zspairs
 from zspairs import (
     format_multiset,
     format_pair,
@@ -203,7 +208,10 @@ class TestEll:
     def test_resource_limit(self, capsys):
         code, _, err = run(capsys, "ell", "8", "--mode", "brute", "--no-cache")
         assert code == 1
-        assert "brute-mode limit" in err
+        assert err == "error: k=8 exceeds the brute-mode limit of 7\n"
+        code, _, err = run(capsys, "ell", "13", "--mode", "pruned", "--no-cache")
+        assert code == 1
+        assert err == "error: k=13 exceeds the pruned-mode limit of 12\n"
 
     def test_cache_round_trip(self, capsys, isolated_cache):
         code1, out1, err1 = run(capsys, "ell", "3")
@@ -409,6 +417,27 @@ def test_survey_commands_accept_exactly_the_modes(command):
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     (mode_action,) = [a for a in sub.choices[command]._actions if a.dest == "mode"]
     assert tuple(mode_action.choices) == _MODES
+
+
+_POOL_MODULES = """
+import sys
+import zspairs.cli
+print(*sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_import_loads_no_process_pool():
+    # Every survey runs in one process, so a fresh CLI start (the setup a
+    # benchmark run times) loads no pool machinery.
+    src = Path(zspairs.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout.split() == []
 
 
 def test_version_flag(capsys):

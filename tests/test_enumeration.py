@@ -417,8 +417,8 @@ class TestScanKernel:
         # Take chains are built in a loop and the walk recurses once per
         # run, so surveys at the largest brute caps, and pruned k=9, run
         # within 64 frames of the caller.  Each top sum is also scanned
-        # from an empty memo, as a pool worker starts its block, where
-        # no earlier sum has built the lower part of its chains.
+        # from an empty memo, where no earlier sum has built the lower
+        # part of its chains.
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -440,73 +440,14 @@ class TestScanKernel:
             sys.setrecursionlimit(limit)
 
 
-def _recording_pools(monkeypatch, cores):
-    """Stand in for the process pool on a machine with `cores` CPUs: each
-    pool built is appended to the returned list, with its worker count
-    and the chunk size its map was given, and maps in this process."""
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            self.chunksize = chunksize
-            return map(fn, tasks)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
 class TestWorkerCount:
-    def test_rejects_fewer_than_one(self):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="workers must be at least 1"):
-                enumeration._worker_count(bad, 10)
-
-    def test_clamped_to_cores_and_tasks(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert enumeration._worker_count(3, 36) == 3
-        assert enumeration._worker_count(10**6, 36) == 4
-        assert enumeration._worker_count(10**6, 2) == 2
-        assert enumeration._worker_count(1, 36) == 1
-
-    def test_unknown_core_count_means_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert enumeration._worker_count(8, 36) == 1
-
-    def test_pool_is_built_with_the_clamped_count(self, monkeypatch):
-        pools = _recording_pools(monkeypatch, cores=2)
-        cfg = EnumConfig(k=3, sum_cap=9)
-        assert compute_ell(cfg, workers=10**6).ell == 5
-        assert [pool.max_workers for pool in pools] == [2]
-        assert [pool.chunksize for pool in pools] == [5]
-
-    def test_pool_forks_no_worker_without_a_block(self, monkeypatch):
-        # 9 sums over 4 workers are 3 blocks of 3, so 3 processes.
-        pools = _recording_pools(monkeypatch, cores=4)
-        assert compute_ell(EnumConfig(k=3, sum_cap=9), workers=4).ell == 5
-        assert [pool.max_workers for pool in pools] == [3]
-        assert [pool.chunksize for pool in pools] == [3]
-
-    # Real pools on uneven splits: brute k=3 cap 10 is blocks of 5/5 and
-    # 4/4/2.  Pruned mode builds no pool, so its output must not depend
-    # on the count either.
+    # A survey's output never depends on the worker count, in either mode.
     @pytest.mark.parametrize(
         "cfg",
         [EnumConfig(k=3, sum_cap=10), EnumConfig(k=5, mode="pruned")],
         ids=["brute-3-cap10", "pruned-5"],
     )
-    def test_uneven_blocks_do_not_change_output(self, monkeypatch, cfg):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_uneven_blocks_do_not_change_output(self, cfg):
         reports = {
             w: replace(compute_ell(cfg, workers=w), wall_time=0.0) for w in (1, 2, 3)
         }
@@ -517,19 +458,28 @@ class TestWorkerCount:
 
     def test_bad_count_fails_before_streaming(self):
         for mode in ("brute", "pruned"):
-            with pytest.raises(ValueError):
-                enumerate_irreducible(EnumConfig(k=2, mode=mode), workers=0)
+            cfg = EnumConfig(k=2, mode=mode)
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match="workers must be at least 1"):
+                    enumerate_irreducible(cfg, workers=bad)
+                with pytest.raises(ValueError, match="workers must be at least 1"):
+                    compute_ell(cfg, workers=bad)
 
-    def test_pruned_survey_builds_no_pool(self, monkeypatch):
-        # One root, 1 | 1, holds most of the tree (1,202 of 1,270 pairs
-        # at k=9), so the search runs in this process at any count.
-        pools = _recording_pools(monkeypatch, cores=4)
-        cfg = EnumConfig(k=5, mode="pruned")
-        assert compute_ell(cfg, workers=4).ell == 9
-        assert list(enumerate_irreducible(cfg, workers=4)) == list(
-            enumerate_irreducible(cfg)
-        )
-        assert pools == []
+    @pytest.mark.parametrize(
+        "cfg",
+        [EnumConfig(k=4), EnumConfig(k=5, mode="pruned")],
+        ids=["brute-4", "pruned-5"],
+    )
+    def test_no_survey_forks(self, monkeypatch, cfg):
+        # Every survey runs in this process at any worker count.
+        def no_fork():
+            raise AssertionError("a survey forked")
+
+        serial = replace(compute_ell(cfg, workers=1), wall_time=0.0)
+        stream = list(enumerate_irreducible(cfg, workers=1))
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert replace(compute_ell(cfg, workers=4), wall_time=0.0) == serial
+        assert list(enumerate_irreducible(cfg, workers=4)) == stream
 
 
 class TestSurveyBudget:
