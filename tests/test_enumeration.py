@@ -456,6 +456,13 @@ class TestWorkerCount:
         assert reports[2] == reports[1] and reports[3] == reports[1]
         assert streams[2] == streams[1] and streams[3] == streams[1]
 
+    def test_rejects_fewer_than_one(self):
+        # The scan itself refuses the count, naming it, before any sum.
+        for mode in ("brute", "pruned"):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=f"at least 1, got {bad}$"):
+                    enumeration._scan_all(EnumConfig(k=3, mode=mode), bad)
+
     def test_bad_count_fails_before_streaming(self):
         for mode in ("brute", "pruned"):
             cfg = EnumConfig(k=2, mode=mode)
