@@ -20,6 +20,7 @@ from .derivation import DerivationError, DerivationPlan, derive_chain, derive_pr
 from .enumeration import (
     _MODES,
     EnumConfig,
+    check_workers,
     compute_ell,
     enumerate_irreducible,
     extremal_pairs,
@@ -74,6 +75,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_ell(args: argparse.Namespace) -> int:
     cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
+    # Refused before the lookup, so a cached entry cannot mask a bad count.
+    check_workers(args.workers)
     if not args.no_cache:
         cached = load_report(cfg.k, cfg.mode, cfg.sum_cap, __version__)
         if cached is not None:

@@ -54,8 +54,9 @@ its keys meet them, folding that run into the prefix's subset sums once,
 on entry.  For S <= k, {S} has key 0 and partners everything.  The
 join's pairs have partnered sides, so it sees the same pairs in the same
 order, and no theorem is used.  Each node also counts its completions,
-so m is read off the root; pruned mode reads its m from a root with key
-width 0.
+so m is read off the root.  Pruned mode never reads or builds the DAG:
+its m, the number of partitions of S that fit a k x k box, is the
+coefficient of q^S in the Gaussian binomial [2k, k]_q.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -84,7 +85,8 @@ PRUNED_MAX_K = 12
 # 1,000,000 words.  A survey at each cap took 4-66 ms on 2 vCPUs (best of
 # 5, three rounds), the most at k=1 and k=7.
 # Pruned mode builds no candidates and takes any cap; at PRUNED_MAX_K its
-# whole survey took 0.12-0.19 s and peaked at 22 MB on 2 vCPUs.
+# whole survey took 0.09-0.10 s and peaked at 20 MB on 2 vCPUs (Python
+# 3.11.7, best and median of 9, two rounds).
 _BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
 
 _MODES = ("brute", "pruned")
@@ -375,6 +377,22 @@ def _inserted(runs: tuple[tuple[int, int], ...], value: int) -> tuple[tuple[int,
     return runs + ((value, 1),)
 
 
+def _box_counts(k: int, top: int) -> list[int]:
+    """The number of partitions of S into at most k parts of size at most
+    k, for S = 0..top: the coefficients of the Gaussian binomial [2k, k]_q,
+    the product of (1 - q^(k+i)) / (1 - q^i) for i = 1..k (Andrews, The
+    Theory of Partitions, ch. 3)."""
+    counts = [1] + [0] * top
+    for i in range(1, k + 1):
+        # Multiplying by 1 - q^(k+i) reads only lower terms: top down.
+        for s in range(top, k + i - 1, -1):
+            counts[s] -= counts[s - k - i]
+        # Dividing by 1 - q^i is a running sum with step i.
+        for s in range(i, top + 1):
+            counts[s] += counts[s - i]
+    return counts
+
+
 def _derived_sums(k: int, top: int):
     """Pruned mode's per-sum results for S = 1..top, equal to
     `_scan_sum(k, S, "pruned")`, by reverse search from the roots v | v.
@@ -384,8 +402,13 @@ def _derived_sums(k: int, top: int):
     maxima are then d + e and e exactly when e >= max Y and d + e >= max X,
     and its (d + e, e)-derivation, its canonical parent, undoes the move;
     so those moves reach each pair once.  A pair is pushed once per side
-    as X, a root once, since its sides are equal."""
+    as X, a root once, since its sides are equal.  m, the number of
+    multisets of sum S with at most k elements of size at most k, is read
+    off [2k, k]_q."""
     found: list[list] = [[] for _ in range(top + 1)]
+    # Subset sums cannot drop an element, so each X - d is folded anew,
+    # once per survey: many nodes share it.
+    folded: dict[tuple[tuple[int, int], ...], int] = {}
     stack = []
     for v in range(1, min(k, top) + 1):
         runs = ((v, 1),)
@@ -396,15 +419,17 @@ def _derived_sums(k: int, top: int):
         max_x = x[0][0]
         max_y = y[0][0]
         for i, (d, c) in enumerate(x):
-            lo = max(max_y, max_x - d)
-            hi = min(k - d, top - total)
+            lo = max_y if max_y > max_x - d else max_x - d
+            hi = k - d if k - d < top - total else top - total
             if lo > hi:
                 continue
             rest = x[:i] + ((d, c - 1),) + x[i + 1 :] if c > 1 else x[:i] + x[i + 1 :]
-            # Subset sums cannot drop an element, so X - d is folded anew.
-            rest_sums = 1
-            for v, n in rest:
-                rest_sums = _fold_run(rest_sums, v, n)
+            rest_sums = folded.get(rest)
+            if rest_sums is None:
+                rest_sums = 1
+                for v, n in rest:
+                    rest_sums = _fold_run(rest_sums, v, n)
+                folded[rest] = rest_sums
             for e in range(lo, hi + 1):
                 new_x_sums = rest_sums | rest_sums << (d + e)
                 new_y_sums = y_sums | y_sums << e
@@ -415,17 +440,24 @@ def _derived_sums(k: int, top: int):
                 found[total + e].append((new_x, new_y) if new_x > new_y else (new_y, new_x))
                 stack.append((total + e, new_x, new_x_sums, new_y, new_y_sums))
                 stack.append((total + e, new_y, new_y_sums, new_x, new_x_sums))
+    counts = _box_counts(k, top)
     for total in range(1, top + 1):
         hits = found[total]
         # Run tuples order as their multisets do: descending is candidate order.
         hits.sort(reverse=True)
-        m = _node(0, total, k, _max_len(k, total, "pruned"), 1)[1]
+        m = counts[total]
         yield hits, m * (m + 1) // 2
 
 
 def _scan_task(args: tuple[int, int, str]):
     """One sum of a brute survey: `_scan_sum` on a (k, total, mode) task."""
     return _scan_sum(*args)
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below one."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _scan_all(cfg: EnumConfig, workers: int):
@@ -435,8 +467,7 @@ def _scan_all(cfg: EnumConfig, workers: int):
     its reverse search, brute mode scans sum by sum.  The worker count
     is checked, and the node memo emptied, when this is called, before
     any sum is scanned."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
     _nodes.clear()
     if cfg.mode == "pruned":
@@ -444,14 +475,20 @@ def _scan_all(cfg: EnumConfig, workers: int):
     return map(_scan_task, [(cfg.k, S, cfg.mode) for S in range(1, top + 1)])
 
 
-def _pairs(cfg: EnumConfig, hits) -> Iterator[Pair]:
-    """The scanned hits as Pairs, keeping those whose length lies in the
-    window, if one is set."""
+def _windowed(cfg: EnumConfig, hits):
+    """The scanned hits whose length lies in the window, if one is set,
+    each as (length, hit).  A hit's length is the run counts of both
+    sides, so no Pair is built to filter it."""
     window = cfg.length_window
-    for runs_a, runs_b in hits:
-        p = Pair(Multiset(runs_a), Multiset(runs_b))
-        if window is None or window[0] <= p.length <= window[1]:
-            yield p
+    for hit in hits:
+        runs_a, runs_b = hit
+        length = 0
+        for _, c in runs_a:
+            length += c
+        for _, c in runs_b:
+            length += c
+        if window is None or window[0] <= length <= window[1]:
+            yield length, hit
 
 
 def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
@@ -460,7 +497,11 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
     then by descending-lexicographic position of A, then of B."""
     # The outermost iterable of a generator expression is evaluated now,
     # so a bad worker count fails here rather than mid-stream.
-    return (p for hits, _ in _scan_all(cfg, workers) for p in _pairs(cfg, hits))
+    return (
+        Pair(Multiset(runs_a), Multiset(runs_b))
+        for hits, _ in _scan_all(cfg, workers)
+        for _, (runs_a, runs_b) in _windowed(cfg, hits)
+    )
 
 
 def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
@@ -468,7 +509,8 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
 
     The returned report carries the mode and sum cap, so the value is
     always read as "maximum within this scanned range", never as an
-    unqualified claim about all pairs.
+    unqualified claim about all pairs.  Only the witnesses are built as
+    Pairs.
     """
     start = time.perf_counter()
     ell = 0
@@ -478,11 +520,14 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     for hits, sc in _scan_all(cfg, workers):
         scanned += sc
         irreducible += len(hits)
-        for p in _pairs(cfg, hits):
-            if p.length > ell:
-                ell = p.length
+        for length, (runs_a, runs_b) in _windowed(cfg, hits):
+            if length < ell:
+                continue
+            p = Pair(Multiset(runs_a), Multiset(runs_b))
+            if length > ell:
+                ell = length
                 witnesses = [p]
-            elif p.length == ell:
+            else:
                 witnesses.append(p)
     return EllReport(
         k=cfg.k,

@@ -263,6 +263,19 @@ class TestEll:
         assert out == ""
         assert err == "error: workers must be at least 1, got 0\n"
 
+    def test_workers_below_one_on_a_cache_hit(self, capsys, isolated_cache):
+        # The count is refused before the cache is read, so a stored
+        # entry does not turn the refusal into a report.
+        run(capsys, "ell", "3")
+        assert list(isolated_cache.glob("*.json"))
+        for bad in ("0", "-3"):
+            code, out, err = run(capsys, "ell", "3", "--workers", bad)
+            assert (code, out, err) == (
+                1,
+                "",
+                f"error: workers must be at least 1, got {bad}\n",
+            )
+
     def test_two_workers_print_the_serial_report(self, capsys):
         argv = ("ell", "7", "--mode", "pruned", "--no-cache")
         code1, out1, err1 = run(capsys, *argv, "--workers", "1")

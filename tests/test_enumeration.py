@@ -11,6 +11,7 @@ import pytest
 
 from zspairs import enumeration
 from zspairs import (
+    EllReport,
     EnumConfig,
     KTooSmallError,
     ResourceLimitError,
@@ -597,6 +598,74 @@ class TestComputeEll:
         report = compute_ell(EnumConfig(k=2, sum_cap=4))
         assert report.irreducible_count == 3
         assert report.pairs_scanned >= report.irreducible_count
+
+
+class TestWitnessesOnly:
+    # compute_ell builds Pairs only for its witnesses, so the engines'
+    # hits are checked here: each builds a valid canonical Pair.
+    @pytest.mark.parametrize(
+        "mode,k", [("brute", k) for k in range(1, 8)] + [("pruned", k) for k in range(1, 11)]
+    )
+    def test_every_hit_is_a_valid_canonical_pair(self, mode, k):
+        cfg = EnumConfig(k=k, mode=mode)
+        for hits, _ in enumeration._scan_all(cfg, 1):
+            windowed = list(enumeration._windowed(cfg, hits))
+            assert [hit for _, hit in windowed] == hits
+            for length, (runs_a, runs_b) in windowed:
+                assert Pair(Multiset(runs_a), Multiset(runs_b)).length == length
+
+    @pytest.mark.parametrize(
+        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+    )
+    def test_report_matches_a_reference_built_from_pairs(self, mode, k):
+        stream = list(enumeration._scan_all(EnumConfig(k=k, mode=mode), 1))
+        scanned = sum(sc for _, sc in stream)
+        irreducible = sum(len(hits) for hits, _ in stream)
+        for window in (None, (1, 3), (2 * k - 1, 2 * k - 1), (2 * k, 3 * k)):
+            cfg = EnumConfig(k=k, mode=mode, length_window=window)
+            ell = 0
+            witnesses = []
+            for p in enumerate_irreducible(cfg):
+                if p.length > ell:
+                    ell = p.length
+                    witnesses = [p]
+                elif p.length == ell:
+                    witnesses.append(p)
+            expected = EllReport(
+                k=k,
+                ell=ell,
+                witnesses=tuple(witnesses),
+                pairs_scanned=scanned,
+                irreducible_count=irreducible,
+                mode=mode,
+                sum_cap=k * k,
+                wall_time=0.0,
+            )
+            assert replace(compute_ell(cfg), wall_time=0.0) == expected, window
+            if window == (2 * k, 3 * k) and k > 1:
+                assert (ell, witnesses) == (0, [])
+
+    def test_pruned_k9_counts(self):
+        # The figures perfbench/workloads.py gates survey-pruned-k9-w2 on.
+        report = compute_ell(EnumConfig(k=9, mode="pruned"))
+        assert report.pairs_scanned == 29_089_687
+        assert report.irreducible_count == 1_270
+
+
+class TestBoxCounts:
+    def test_gaussian_counts_equal_the_dag_counts(self, monkeypatch):
+        # Pruned m is read off [2k, k]_q; the brute DAG counts the same
+        # partitions, at most k parts of size at most k, from its root.
+        monkeypatch.setattr(enumeration, "_nodes", {})
+        for k in range(1, 13):
+            counts = enumeration._box_counts(k, k * k)
+            assert counts == [1] + [
+                enumeration._node(0, total, k, k, 1)[1] for total in range(1, k * k + 1)
+            ], k
+            # No partition fitting the box has a sum above k*k.
+            for top in (1, k, 2 * k, k * k - 1, k * k + 3):
+                expected = (counts + [0] * 3)[: top + 1]
+                assert enumeration._box_counts(k, top) == expected, (k, top)
 
 
 class TestExtremalPairs:
