@@ -22,41 +22,33 @@ a sum above k*k, and pruned mode stops there.  Its hits are sorted into
 brute mode's order, and it still reports m(m+1)/2 candidate pairs for
 the m same-sum multisets of at most k parts that it no longer builds.
 
-Brute mode's scan kernel is a disjointness join rather than an
-all-pairs loop.  A pair is irreducible iff the interior achievable-sum
-masks of its sides do not meet.  Every value of B is itself a sum of B,
-so B's mask restricted to bits 1..k already meets A's whenever A contains
-one of B's values as an interior sum; such pairs are skipped without
-being visited.  Candidates are bucketed by those low k bits, and every
-pair drawn from two buckets with disjoint keys gets the full-mask AND
-test.  The skip follows from the definition alone, so brute mode stays
-theorem-free.  `_scan_sum(k, S, "pruned")` runs the same kernel over
-pruned mode's candidates, and is the reference the reverse search is
-tested against.
+Brute mode builds no candidates either: it grows both sides of a pair
+at once, from a stack, for every sum up to the cap in one search.  A
+pair is irreducible iff the interior subset sums of its sides, those in
+1..S-1, are disjoint.  Each side gains elements in descending order, and
+the side with the smaller partial sum is the one extended.  A pair of
+prefixes whose subset sums share a positive value is dropped: subset
+sums only gain bits as a prefix grows, and the shared value is at most
+the smaller partial sum, so it lies below the larger one and is interior
+to every completion.  Equal partial sums end the pair: it is recorded at
+that sum if only the sum itself is shared, and dropped otherwise.  Every
+irreducible pair other than v | v has sides with distinct maxima (equal
+maxima are a shared sum, interior unless both sides are {v}), so B's
+first element is below A's, A being the side earlier in candidate
+order.  Given a pair's sides, the order in which the search adds their
+elements is forced, and no prefix of an irreducible pair is dropped, so
+the search reaches each irreducible pair exactly once and needs no
+seen-set.  Nothing but the definition is used, so brute mode stays
+theorem-free.  Each sum's hits are sorted into candidate order and kept
+in a memo that `_scan_sum(k, S, mode)` reads; pruned mode's `_scan_sum`
+keeps the hits whose sides have at most k elements, and is the
+reference the reverse search is tested against.
 
-The candidates of a sum come from a memoized DAG of generator states:
-what is left, the part and length bounds, and the prefix's sums in 0..k,
-the only ones later runs can move into the low key (a candidate's sums
-in 1..k, its bucket in the join).  A state has at most two edges: take
-one more part of its largest size p, or skip to parts below p, which
-exists only if they can fill what is left, (p - 1) * max_len >= rest, so
-no state yields nothing.  A state reaches the runs of smaller parts
-through its skip, so they are stored once, not again in every state with
-a larger part bound.  Each take chain is built in a loop, so the build
-recurses once per part size, not once per part.  Each node also holds
-the low keys its completions end with.  Most candidates have no partner:
-their key meets every same-sum candidate's, so the join would never
-visit them.  The root's keys, complemented and closed downwards, are the
-keys with a partner.  A walk of the DAG follows each take chain while
-its keys meet them; the skip of the c-th state on the chain holds the
-completions with exactly c copies of p, and the walk enters it only if
-its keys meet them, folding that run into the prefix's subset sums once,
-on entry.  For S <= k, {S} has key 0 and partners everything.  The
-join's pairs have partnered sides, so it sees the same pairs in the same
-order, and no theorem is used.  Each node also counts its completions,
-so m is read off the root.  Pruned mode never reads or builds the DAG:
-its m, the number of partitions of S that fit a k x k box, is the
-coefficient of q^S in the Gaussian binomial [2k, k]_q.
+Neither mode lists the candidates it counts.  The m multisets of sum S
+with values <= k, and with at most L elements, are the coefficient of
+q^S in the product of (1 - q^(L+i)) / (1 - q^i) for i = 1..k: L = k in
+pruned mode, the Gaussian binomial [2k, k]_q, and L = the cap in brute
+mode, where it bounds nothing.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -82,8 +74,10 @@ BRUTE_MAX_K = 7
 PRUNED_MAX_K = 12
 # The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
 # candidates, each weighed by the 64-bit words of its mask, stay within
-# 1,000,000 words.  A survey at each cap took 4-66 ms on 2 vCPUs (best of
-# 5, three rounds), the most at k=1 and k=7.
+# 1,000,000 words, a budget kept from when brute mode built them.  A
+# survey at each cap now takes 0.2-1.6 ms for k = 2..7, the most at k=7,
+# and 10 ms at k=1, where one step per sum is the cost, on 2 vCPUs
+# (Python 3.11.7, best of 7, two rounds).
 # Pruned mode builds no candidates and takes any cap; at PRUNED_MAX_K its
 # whole survey took 0.09-0.10 s and peaked at 20 MB on 2 vCPUs (Python
 # 3.11.7, best and median of 9, two rounds).
@@ -153,139 +147,6 @@ class EllReport:
         }
 
 
-# The generator's nodes, shared by every sum of one survey and emptied
-# when a survey starts, so a survey never reads another's work.  They
-# live at module level because `_scan_sum` gets only (k, total, mode).
-# k is part of each state, so `_scan_sum` calls of different k never
-# mix.  `enumerate_multisets` yields the same partitions without them.
-_nodes: dict = {}
-
-
-def _node(k: int, remaining: int, max_part: int, max_len: int, key: int):
-    """The generator state that partitions `remaining` into at most
-    `max_len` parts of size at most `max_part`, after a prefix whose sums
-    in 0..k are the bits of `key`, as (keys, count, part, take, skip).
-    keys is the 2^k-bit set of low keys its completions end with: bit K
-    is set iff one leaves bits 1..k of its sums equal to K << 1, and
-    count is the number of completions.  part is `max_part` clamped to
-    `remaining`.  take is the state after one more part of that size,
-    skip the state whose parts are all smaller, or None when that leaves
-    too little room.  A leaf (nothing left) has part 0 and no edges; a
-    part of 1 is terminal, with the count of ones in place of take; a
-    state with too little room is empty, with count 0 and no keys."""
-    if max_part > remaining:
-        max_part = remaining
-    if max_len > remaining:
-        max_len = remaining
-    state = (k, remaining, max_part, max_len, key)
-    node = _nodes.get(state)
-    if node is not None:
-        return node
-    full = (2 << k) - 1
-    if remaining == 0:
-        node = (1 << (key >> 1), 1, 0, None, None)
-    elif max_part * max_len < remaining:
-        node = (0, 0, max_part, None, None)
-    elif max_part == 1:
-        # Past k ones, a one adds no sum in 0..k.
-        for _ in range(min(remaining, k)):
-            key = (key | key << 1) & full
-        node = (1 << (key >> 1), 1, 1, remaining, None)
-    else:
-        # Take chains are built in a loop, down to a stored state or to
-        # the first whose part is clamped below p; only parts below p
-        # recurse, so the depth is bounded by the part, not the sum.
-        p = max_part
-        chain = []
-        while True:
-            chain.append(state)
-            remaining -= p
-            max_len -= 1
-            # One copy of p: the same shift-or step as `_fold_run`.
-            key = (key | key << p) & full
-            if remaining < p:
-                node = _node(k, remaining, p, max_len, key)
-                break
-            if max_len > remaining:
-                max_len = remaining
-            state = (k, remaining, p, max_len, key)
-            node = _nodes.get(state)
-            if node is not None:
-                break
-        for state in reversed(chain):
-            _, remaining, _, max_len, key = state
-            keys = node[0]
-            count = node[1]
-            skip = None
-            if (p - 1) * max_len >= remaining:
-                skip = _node(k, remaining, p - 1, max_len, key)
-                keys |= skip[0]
-                count += skip[1]
-            node = (keys, count, p, node, skip)
-            _nodes[state] = node
-        return node
-    _nodes[state] = node
-    return node
-
-
-def _partitions(
-    node, partners: int = -1, runs: tuple[tuple[int, int], ...] = (), bits: int = 1
-) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """The completions of `node` whose low key is in `partners`, each
-    appended to `runs`, as (runs, sums) pairs in generation order.  sums
-    is `bits` with every new run folded in, once, as its state is
-    entered, so from the defaults it holds every submultiset sum."""
-    while node[0] & partners:
-        p = node[2]
-        if p == 0:
-            yield runs, bits
-            return
-        if p == 1:
-            yield runs + ((1, node[3]),), _fold_run(bits, 1, node[3])
-            return
-        # Follow the take chain as far as its keys meet the partners: the
-        # c-th state holds c copies of p, its skip exactly c, and the
-        # chain ends at the first state whose part is clamped below p.
-        ends = []
-        c = 0
-        take = node[3]
-        while take[0] & partners:
-            c += 1
-            if take[2] != p:
-                ends.append((c, take))
-                break
-            rest = take[4]
-            if rest is not None and rest[0] & partners:
-                ends.append((c, rest))
-            take = take[3]
-        # Longest run first.
-        for c, rest in reversed(ends):
-            yield from _partitions(rest, partners, runs + ((p, c),), _fold_run(bits, p, c))
-        node = node[4]
-        if node is None:
-            return
-
-
-def _partners(k: int, keys: int) -> int:
-    """The low keys, as a 2^k-bit set, that miss some key in `keys`."""
-    # Complement every key, then close downwards: a key inside a
-    # partner's complement is disjoint from that partner.
-    top = (1 << k) - 1
-    partners = 0
-    while keys:
-        bit = keys & -keys
-        partners |= 1 << (top ^ (bit.bit_length() - 1))
-        keys ^= bit
-    every = (1 << (top + 1)) - 1
-    for i in range(k):
-        step = 1 << i
-        # Shifting by 2^i takes a set holding i to the set without it;
-        # `clear` keeps the positions without i, where those land.
-        clear = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
-        partners |= (partners >> step) & clear
-    return partners
-
-
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
     """Every multiset with values in [1, k] and sum exactly `total`,
     yielded once each in descending-lexicographic order."""
@@ -298,11 +159,11 @@ def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
 
 
 def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], ...]):
-    """The DAG's partitions generated lazily, with no memo: the
-    completions of `runs` that partition `remaining` into parts of size
-    at most `max_part`, in `_partitions`' order.  With key width 0 and no
-    length bound, parts below any v >= 2 can always fill the rest, so
-    every count c of v is a run; a run of ones takes all that is left."""
+    """The completions of `runs` that partition `remaining` into parts of
+    size at most `max_part`, generated lazily in descending-lexicographic
+    order, largest part first and longest run first.  Parts below any
+    v >= 2 can always fill the rest, so every count c of v is a run and
+    every call yields; a run of ones takes all that is left."""
     if remaining == 0:
         yield runs
         return
@@ -312,59 +173,78 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
     yield runs + ((1, remaining),)
 
 
-def _max_len(k: int, total: int, mode: str) -> int:
-    # Both bounds cap cardinality at k, so pruned mode generates only
-    # partitions with at most k parts.
-    return k if mode == "pruned" else total
+# Each k's search results, shared by every sum of one survey and emptied
+# when a survey starts, so a survey never reads another's work.  They
+# live at module level because `_scan_sum` gets only (k, total, mode).
+_searched: dict[int, tuple] = {}
+
+
+def _search(k: int, top: int):
+    """Every irreducible canonical pair with values in [1, k] and a sum of
+    at most `top`, stored as k's entry in `_searched` and returned: (top,
+    a dict from each sum to its hits in candidate order, m for S = 0..top,
+    and m for at most k elements and S = 0..min(top, k*k)).
+
+    A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, X is
+    A) for the lighter side X of sum x < y, which gains the next element
+    e, at most its last one.  The entries come off the stack having no
+    shared positive sum, so only X's sums shifted by e can meet Y's."""
+    found: dict[int, list] = {}
+    stack = []
+    for v in range(1, min(k, top) + 1):
+        runs = ((v, 1),)
+        found[v] = [(runs, runs)]
+        stack += [(e, ((e, 1),), 1 | 1 << e, v, runs, 1 | 1 << v, False) for e in range(1, v)]
+    while stack:
+        x, runs_x, sums_x, y, runs_y, sums_y, x_is_a = stack.pop()
+        last, c = runs_x[-1]
+        for e in range(1, min(last, top - x) + 1):
+            shifted = sums_x << e
+            total = x + e
+            shared = shifted & sums_y
+            if total == y:
+                # The common sum is the one shared sum that is not interior.
+                shared ^= 1 << y
+            if shared:
+                continue
+            runs = runs_x[:-1] + ((e, c + 1),) if e == last else runs_x + ((e, 1),)
+            if total == y:
+                found.setdefault(y, []).append((runs, runs_y) if x_is_a else (runs_y, runs))
+            elif total < y:
+                stack.append((total, runs, sums_x | shifted, y, runs_y, sums_y, x_is_a))
+            else:
+                stack.append((y, runs_y, sums_y, total, runs, sums_x | shifted, not x_is_a))
+    for hits in found.values():
+        # Run tuples order as their multisets do: descending is candidate order.
+        hits.sort(reverse=True)
+    entry = (top, found, _box_counts(k, top, top), _box_counts(k, min(top, k * k), k))
+    _searched[k] = entry
+    return entry
 
 
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
-    tuples, plus the number of candidate pairs decided, m(m+1)/2 for m
-    candidates.  The walk of the sum's DAG builds only the candidates
-    whose low key misses some candidate's; m is the root's count.  The
-    join AND-tests every pair drawn from two buckets with disjoint low
-    keys, each unordered pair of buckets once, in either mode, so the
-    pairs it rules out are decided without being visited; hits are
-    sorted into candidate order."""
-    runs_list = []
-    masks = []
-    # A key is a subset of its mask, so a B whose key meets A's fails the
-    # AND test: only buckets with disjoint keys can hold hits.  Bits 1..k
-    # include B's own values, which makes the key selective.  It also
-    # makes a shared-value test redundant: each value of a side with two
-    # or more elements is an interior sum at most k, so it lies in that
-    # side's key, and visited pairs have disjoint keys; a side {S} can
-    # share S only with {S}, and {S} | {S} is irreducible.  Only key 0,
-    # the lone {S}, misses itself, so no other bucket pairs with itself.
-    low = (1 << (k + 1)) - 2
-    buckets: dict[int, list[int]] = {}
-    # Bits 1 .. total-1: sums of proper nonempty submultisets.
-    interior = (1 << total) - 2
-    max_len = _max_len(k, total, mode)
-    root = _node(k, total, k, max_len, 1)
-    # For total <= k, {total} has low key 0 and partners everything.
-    partners = _partners(k, root[0]) if total > k else -1
-    for i, (runs, bits) in enumerate(_partitions(root, partners)):
-        mask = bits & interior
-        runs_list.append(runs)
-        masks.append(mask)
-        buckets.setdefault(mask & low, []).append(i)
-    m = root[1]
-
-    found = []
-    items = list(buckets.items())
-    for x, (key_a, rows) in enumerate(items):
-        for key_b, cols in items[x:]:
-            if key_a & key_b:
-                continue
-            for i in rows:
-                mask_a = masks[i]
-                found += [
-                    (i, j) if i < j else (j, i) for j in cols if not mask_a & masks[j]
-                ]
-    found.sort()
-    return [(runs_list[i], runs_list[j]) for i, j in found], m * (m + 1) // 2
+    tuples in candidate order, plus the number of candidate pairs,
+    m(m+1)/2 for the m multisets of sum `total` with values at most k,
+    and in pruned mode at most k elements.  Pruned mode keeps the hits
+    whose sides have at most k elements.  Both are read off k's search;
+    a sum past its top searches again, to at least twice that top, so
+    calls for S = 1..cap search O(log cap) times."""
+    entry = _searched.get(k)
+    if entry is None or entry[0] < total:
+        entry = _search(k, total if entry is None else max(total, 2 * entry[0]))
+    _, found, counts, box = entry
+    hits = found.get(total, [])
+    if mode == "brute":
+        m = counts[total]
+    else:
+        hits = [
+            (runs_a, runs_b)
+            for runs_a, runs_b in hits
+            if sum(c for _, c in runs_a) <= k and sum(c for _, c in runs_b) <= k
+        ]
+        m = box[total] if total < len(box) else 0
+    return hits, m * (m + 1) // 2
 
 
 def _inserted(runs: tuple[tuple[int, int], ...], value: int) -> tuple[tuple[int, int], ...]:
@@ -377,16 +257,17 @@ def _inserted(runs: tuple[tuple[int, int], ...], value: int) -> tuple[tuple[int,
     return runs + ((value, 1),)
 
 
-def _box_counts(k: int, top: int) -> list[int]:
-    """The number of partitions of S into at most k parts of size at most
-    k, for S = 0..top: the coefficients of the Gaussian binomial [2k, k]_q,
-    the product of (1 - q^(k+i)) / (1 - q^i) for i = 1..k (Andrews, The
-    Theory of Partitions, ch. 3)."""
+def _box_counts(k: int, top: int, length: int) -> list[int]:
+    """The number of partitions of S into at most `length` parts of size at
+    most k, for S = 0..top: the coefficients of the product of
+    (1 - q^(length+i)) / (1 - q^i) for i = 1..k, the Gaussian binomial
+    [length + k, k]_q (Andrews, The Theory of Partitions, ch. 3).  A
+    length of at least `top` bounds nothing below it."""
     counts = [1] + [0] * top
     for i in range(1, k + 1):
-        # Multiplying by 1 - q^(k+i) reads only lower terms: top down.
-        for s in range(top, k + i - 1, -1):
-            counts[s] -= counts[s - k - i]
+        # Multiplying by 1 - q^(length+i) reads only lower terms: top down.
+        for s in range(top, length + i - 1, -1):
+            counts[s] -= counts[s - length - i]
         # Dividing by 1 - q^i is a running sum with step i.
         for s in range(i, top + 1):
             counts[s] += counts[s - i]
@@ -440,7 +321,7 @@ def _derived_sums(k: int, top: int):
                 found[total + e].append((new_x, new_y) if new_x > new_y else (new_y, new_x))
                 stack.append((total + e, new_x, new_x_sums, new_y, new_y_sums))
                 stack.append((total + e, new_y, new_y_sums, new_x, new_x_sums))
-    counts = _box_counts(k, top)
+    counts = _box_counts(k, top, k)
     for total in range(1, top + 1):
         hits = found[total]
         # Run tuples order as their multisets do: descending is candidate order.
@@ -465,13 +346,14 @@ def _scan_all(cfg: EnumConfig, workers: int):
     pruned sums above k*k: their candidates would need more than k parts
     of size at most k.  Both modes run in this process; pruned mode runs
     its reverse search, brute mode scans sum by sum.  The worker count
-    is checked, and the node memo emptied, when this is called, before
-    any sum is scanned."""
+    is checked, the search memo emptied and brute mode's search run once,
+    to the cap, when this is called, before any sum is scanned."""
     check_workers(workers)
     top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
-    _nodes.clear()
+    _searched.clear()
     if cfg.mode == "pruned":
         return _derived_sums(cfg.k, top)
+    _search(cfg.k, top)
     return map(_scan_task, [(cfg.k, S, cfg.mode) for S in range(1, top + 1)])
 
 

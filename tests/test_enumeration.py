@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -52,18 +53,10 @@ class TestEnumerateMultisets:
         assert all(m.sigma == 9 and m.max_value <= 4 for m in seen)
 
     def test_leaves_the_node_memo_untouched(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_nodes", {})
+        monkeypatch.setattr(enumeration, "_searched", {})
         # round((t + 3)**2 / 12) partitions of t into parts of at most 3.
         assert sum(1 for _ in enumerate_multisets(3, 60)) == 331
-        assert enumeration._nodes == {}
-
-    def test_matches_the_dag_walk(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_nodes", {})
-        for k in range(1, 7):
-            for total in range(1, 16):
-                dag = enumeration._partitions(enumeration._node(0, total, k, total, 1))
-                expected = [Multiset(runs) for runs, _ in dag]
-                assert list(enumerate_multisets(k, total)) == expected, (k, total)
+        assert enumeration._searched == {}
 
 
 def _runs(parts):
@@ -86,151 +79,88 @@ def test_partitions_match_reference(total):
         reverse=True,
     )
     for max_part in range(1, total + 1):
-        for max_len in range(1, total + 1):
-            expected = [
-                _runs(parts)
-                for parts in every
-                if parts[0] <= max_part and len(parts) <= max_len
-            ]
-            # The key width changes the nodes, not what they generate.
-            for k in (0, 3):
-                root = enumeration._node(k, total, max_part, max_len, 1)
-                got = [runs for runs, _ in enumeration._partitions(root)]
-                assert got == expected, (k, max_part, max_len)
-                assert root[1] == len(expected), (k, max_part, max_len)
+        expected = [_runs(parts) for parts in every if parts[0] <= max_part]
+        got = [m.runs for m in enumerate_multisets(max_part, total)]
+        assert got == expected, max_part
+        # The count DP, at every length bound.
+        for max_len in range(1, total + 2):
+            counts = enumeration._box_counts(max_part, total, max_len)
+            fits = sum(1 for parts in every if parts[0] <= max_part and len(parts) <= max_len)
+            assert counts[total] == fits, (max_part, max_len)
 
 
-_SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
-
-
-def _root(k, total, mode):
-    return enumeration._node(k, total, k, enumeration._max_len(k, total, mode), 1)
-
-
-@pytest.mark.parametrize("mode,k", _SURVEYS)
+@pytest.mark.parametrize(
+    "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+)
 def test_partition_sums_match_reference(mode, k):
+    # The search keeps subset sums as it grows each side; every pair it
+    # reports is two partitions of the sum, within the mode's bounds,
+    # whose reference subset sums meet only in 0 and the sum.
     for total in range(1, k * k + 1):
-        for runs, bits in enumeration._partitions(_root(k, total, mode)):
-            assert bits == subset_sums_reference(Multiset(runs)), runs
-
-
-def _counting_folds(monkeypatch):
-    """Count `_fold_run` calls from now on, in the returned one-item list."""
-    calls = [0]
-    fold = enumeration._fold_run
-
-    def counting_fold(bits, value, count):
-        calls[0] += 1
-        return fold(bits, value, count)
-
-    monkeypatch.setattr(enumeration, "_fold_run", counting_fold)
-    return calls
-
-
-def _assert_walk_folds_once_per_prefix(calls, root, partners=-1):
-    # Each run is folded once, on entering its child, so a walk that
-    # enters only children that yield folds once per distinct run-prefix.
-    calls[0] = 0
-    runs_list = [runs for runs, _ in enumeration._partitions(root, partners)]
-    prefixes = {runs[:i] for runs in runs_list for i in range(1, len(runs) + 1)}
-    assert calls[0] == len(prefixes)
+        hits, _ = enumeration._scan_sum(k, total, mode)
+        for runs_a, runs_b in hits:
+            a, b = Multiset(runs_a), Multiset(runs_b)
+            assert a.sigma == b.sigma == total and max(a.max_value, b.max_value) <= k
+            if mode == "pruned":
+                assert max(a.cardinality, b.cardinality) <= k
+            shared = subset_sums_reference(a) & subset_sums_reference(b)
+            assert shared == 1 | 1 << total, (runs_a, runs_b)
 
 
 @pytest.mark.parametrize("total", range(1, 13))
 def test_partitions_enter_no_dead_branch(total, monkeypatch):
-    # Take and skip build no state that yields nothing: every node
-    # reached from a root with a partition has a take or is terminal (a
-    # part of 1) or a leaf, and has a skip exactly when parts below its
-    # own can still fill what is left.  A root without a partition is
-    # empty and yields nothing.
-    calls = _counting_folds(monkeypatch)
+    # The partition generator recurses only into runs it can complete:
+    # every call yields, and there is one call per run-prefix that ends
+    # in a value of 2 or more (a run of ones takes what is left).
+    gen = enumeration._multiset_runs
+    calls = []
+
+    def counting(remaining, max_part, runs):
+        calls.append(0)
+        i = len(calls) - 1
+        for item in gen(remaining, max_part, runs):
+            calls[i] += 1
+            yield item
+
+    monkeypatch.setattr(enumeration, "_multiset_runs", counting)
     for max_part in range(1, total + 1):
-        for max_len in range(1, total + 1):
-            root = enumeration._node(0, total, max_part, max_len, 1)
-            if max_part * max_len < total:
-                assert root[:2] == (0, 0) and root[3:] == (None, None), (max_part, max_len)
-                calls[0] = 0
-                assert list(enumeration._partitions(root)) == []
-                assert calls[0] == 0
-                continue
-            todo = [(root, total, max_part, max_len)]
-            while todo:
-                node, rest, part, length = todo.pop()
-                part, length = min(part, rest), min(length, rest)
-                keys, count, node_part, take, skip = node
-                assert keys and count and node_part == part, (max_part, max_len)
-                if rest == 0 or part == 1:
-                    # A terminal holds its count of ones in place of take.
-                    assert (take, skip) == (None if rest == 0 else rest, None)
-                    continue
-                assert take is not None, (max_part, max_len)
-                todo.append((take, rest - part, part, length - 1))
-                assert (skip is not None) == ((part - 1) * length >= rest), (max_part, max_len)
-                if skip is not None:
-                    todo.append((skip, rest, part - 1, length))
-            _assert_walk_folds_once_per_prefix(calls, root)
-
-
-@pytest.mark.parametrize(
-    "k,cap", [(k, k * k) for k in range(1, 7)] + [(2, 200)], ids=str
-)
-def test_partner_walk_folds_only_branches_it_keeps(k, cap, monkeypatch):
-    # A child none of whose keys is a partner is skipped before its fold,
-    # so the survey's walk folds exactly the run-prefixes it yields.
-    calls = _counting_folds(monkeypatch)
-    for total in range(1, cap + 1):
-        root = _root(k, total, "brute")
-        partners = enumeration._partners(k, root[0]) if total > k else -1
-        _assert_walk_folds_once_per_prefix(calls, root, partners)
-
-
-def _keyed_candidates(k, total, max_len):
-    """A sum's unfiltered candidates as (runs, low key), the key being the
-    join's bucket key: interior sums in 1..k."""
-    low = ((1 << (k + 1)) - 2) & ((1 << total) - 2)
-    root = enumeration._node(k, total, k, max_len, 1)
-    for runs, bits in enumeration._partitions(root):
-        yield runs, bits & low
-
-
-@pytest.mark.parametrize("mode,k", _SURVEYS)
-def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
-    # The root's keys are the generated keys, and the walk over the
-    # partners of the root's keys yields, in order, the candidates whose
-    # key misses some candidate's key.
-    for total in range(1, k * k + 1):
-        max_len = enumeration._max_len(k, total, mode)
-        candidates = list(_keyed_candidates(k, total, max_len))
-        keys = {key for _, key in candidates}
-        root = _root(k, total, mode)
-        if total > k:
-            assert root[0] == sum(1 << (key >> 1) for key in keys), total
-            partners = enumeration._partners(k, root[0])
-        else:
-            partners = -1
-        partnered = {key for key in keys if any(not key & other for other in keys)}
-        expected = [runs for runs, key in candidates if key in partnered]
-        got = [runs for runs, _ in enumeration._partitions(root, partners)]
-        assert got == expected, total
+        calls.clear()
+        got = [m.runs for m in enumerate_multisets(max_part, total)]
+        assert all(calls), max_part
+        prefixes = {
+            runs[:i] for runs in got for i in range(1, len(runs) + 1) if runs[i - 1][0] >= 2
+        }
+        assert len(calls) == 1 + len(prefixes), max_part
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_disjoint_low_keys_mean_disjoint_values(k):
-    # Why pruned mode needs no shared-value test: among candidates whose
-    # low keys miss each other, only {S} | {S} shares a value.  Values
-    # are pooled per key, so a shared value shows up between two buckets.
+    # Why the search's orientation is well defined: two multisets whose
+    # interior sums in 1..k miss each other share no value unless both
+    # are {S}.  So an irreducible pair other than v | v has two distinct
+    # maxima.  Values are pooled per key, so a shared value shows up
+    # between two keys.
+    full = (2 << k) - 1
+    values: list[dict[int, int]] = [{} for _ in range(k * k + 1)]
+
+    def walk(total, top, sums, pooled):
+        # Each descending prefix is a partition of its own sum; its sums
+        # are kept in 0..k, the only ones a key holds.
+        key = sums & ((1 << total) - 2)
+        values[total][key] = values[total].get(key, 0) | pooled
+        for v in range(min(top, k * k - total), 0, -1):
+            walk(total + v, v, (sums | sums << v) & full, pooled | 1 << v)
+
+    for v in range(1, k + 1):
+        walk(v, v, 1 | 1 << v, 1 << v)
     for total in range(1, k * k + 1):
-        values: dict[int, int] = {}
-        for runs, key in _keyed_candidates(k, total, total):
-            pooled = values.get(key, 0)
-            for v, _ in runs:
-                pooled |= 1 << v
-            values[key] = pooled
-        for key_a, key_b in itertools.combinations(values, 2):
+        by_key = values[total]
+        assert by_key, total
+        for key_a, key_b in itertools.combinations(by_key, 2):
             if not key_a & key_b:
-                assert not values[key_a] & values[key_b], (total, key_a, key_b)
+                assert not by_key[key_a] & by_key[key_b], (total, key_a, key_b)
         # Key 0 belongs to the singleton {total} alone.
-        assert values.get(0, 1 << total) == 1 << total
+        assert by_key.get(0, 1 << total) == 1 << total
 
 
 _FRESH_SURVEY = """
@@ -382,7 +312,7 @@ class TestScanKernel:
             ), total
 
     # sha256 over repr(_scan_sum(k, S, mode)) for S = 1..cap, recorded
-    # from the per-run child DAG that the take/skip DAG replaced, where
+    # from two kernels ago (a per-run partition DAG and a join), where
     # the all-pairs reference is too slow to run.
     _DIGESTS = {
         ("pruned", 9, 81): "80fb9e5d7987eb74735b6f414384bf831a0d167ca6451b8c35ea7b315ced4266",
@@ -393,16 +323,17 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("mode,k,cap", list(_DIGESTS), ids=str)
     def test_stream_matches_recorded_digest(self, monkeypatch, mode, k, cap):
-        monkeypatch.setattr(enumeration, "_nodes", {})
+        monkeypatch.setattr(enumeration, "_searched", {})
         h = hashlib.sha256()
         for total in range(1, cap + 1):
             h.update(repr(enumeration._scan_sum(k, total, mode)).encode())
         assert h.hexdigest() == self._DIGESTS[mode, k, cap]
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", range(1, enumeration.PRUNED_MAX_K + 1))
     def test_pruned_stream_matches_the_scan_kernel(self, k):
-        # Pruned surveys run the reverse search; the kernel's pruned scan
-        # is the reference for every sum it could hold a pair at.
+        # Pruned surveys run the reverse search, which rests on the
+        # derivation lemma; the brute search, which uses no theorem, is
+        # the reference for every sum it could hold a pair at.
         stream = list(enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1))
         assert len(stream) == k * k
         for total, item in enumerate(stream, 1):
@@ -415,11 +346,9 @@ class TestScanKernel:
         assert h.hexdigest() == self._DIGESTS["pruned", 9, 81]
 
     def test_depth_does_not_grow_with_the_sum(self, monkeypatch):
-        # Take chains are built in a loop and the walk recurses once per
-        # run, so surveys at the largest brute caps, and pruned k=9, run
-        # within 64 frames of the caller.  Each top sum is also scanned
-        # from an empty memo, where no earlier sum has built the lower
-        # part of its chains.
+        # Both searches run from a stack, so surveys at the largest brute
+        # caps, and pruned k=9, run within 64 frames of the caller.  Each
+        # top sum is also scanned from an empty memo.
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -429,16 +358,53 @@ class TestScanKernel:
         sys.setrecursionlimit(depth + 64)
         try:
             for k, cap in [(2, 709), (1, 11280), (7, 65)]:
-                monkeypatch.setattr(enumeration, "_nodes", {})
+                monkeypatch.setattr(enumeration, "_searched", {})
                 enumeration._scan_sum(k, cap, "brute")
                 for _ in enumeration._scan_all(EnumConfig(k=k, sum_cap=cap), 1):
                     pass
-            monkeypatch.setattr(enumeration, "_nodes", {})
+            monkeypatch.setattr(enumeration, "_searched", {})
             enumeration._scan_sum(9, 81, "pruned")
             for _ in enumerate_irreducible(EnumConfig(k=9, mode="pruned")):
                 pass
         finally:
             sys.setrecursionlimit(limit)
+
+
+    @staticmethod
+    def _counting(monkeypatch, *names):
+        """Count calls of the named enumeration functions from now on."""
+        calls = {name: [] for name in names}
+        for name in names:
+            fn = getattr(enumeration, name)
+
+            def counting(*args, _fn=fn, _log=calls[name]):
+                _log.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(enumeration, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("k,cap", [(1, 11280), (2, 709), (6, 36), (7, 65)])
+    def test_brute_survey_searches_once_and_scans_each_sum_once(self, monkeypatch, k, cap):
+        calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts")
+        report = compute_ell(EnumConfig(k=k, sum_cap=cap))
+        assert report.ell == max(2, 2 * k - 1)
+        assert calls["_search"] == [(k, cap)]
+        assert calls["_scan_sum"] == [(k, total, "brute") for total in range(1, cap + 1)]
+        assert len(calls["_box_counts"]) == 2
+
+    @pytest.mark.parametrize("mode,k,cap", [("brute", 1, 11280), ("brute", 7, 65), ("pruned", 9, 81)])
+    def test_scans_by_sum_search_a_logarithmic_number_of_times(self, monkeypatch, mode, k, cap):
+        # Standalone calls for S = 1..cap grow the memo's top by doubling,
+        # so neither the search nor the count DP runs once per sum.
+        monkeypatch.setattr(enumeration, "_searched", {})
+        calls = self._counting(monkeypatch, "_search", "_box_counts")
+        for total in range(1, cap + 1):
+            enumeration._scan_sum(k, total, mode)
+        tops = [top for _, top in calls["_search"]]
+        assert tops == [2**i for i in range(len(tops))]
+        assert tops[-1] >= cap > tops[-2]
+        assert len(calls["_box_counts"]) == 2 * len(tops)
 
 
 class TestWorkerCount:
@@ -496,8 +462,10 @@ class TestSurveyBudget:
         assert len(enumeration._BRUTE_MAX_CAP) == enumeration.BRUTE_MAX_K
         for k in range(1, enumeration.BRUTE_MAX_K + 1):
             words = 0
+            top = max(enumeration._BRUTE_MAX_CAP) + 1
+            counts = enumeration._box_counts(k, top, top)
             for first_over in itertools.count(1):
-                m = enumeration._node(0, first_over, k, first_over, 1)[1]
+                m = counts[first_over]
                 words += m * (first_over // 64 + 1)
                 if words > 1_000_000:
                     break
@@ -517,12 +485,11 @@ class TestSurveyBudget:
     def test_refused_from_the_first_sum_over_budget(self, monkeypatch, mode, k, budget):
         # A cap worked out from a smaller word budget, with the words
         # counted from the generator itself, holds from the first sum over
-        # it; the DAG's own counts must agree with the generator's.
+        # it; the count DP must agree with the generator's.
         words = 0
         for first_over in itertools.count(1):
-            root = enumeration._node(0, first_over, k, first_over, 1)
-            m = sum(1 for _ in enumeration._partitions(root))
-            assert root[1] == m, first_over
+            m = sum(1 for _ in enumerate_multisets(k, first_over))
+            assert enumeration._box_counts(k, first_over, first_over)[first_over] == m
             words += m * (first_over // 64 + 1)
             if words > budget:
                 break
@@ -652,20 +619,39 @@ class TestWitnessesOnly:
         assert report.irreducible_count == 1_270
 
 
+@functools.cache
+def _naive_count(total, parts, size):
+    """Partitions of `total` into at most `parts` parts of size at most
+    `size`: those with a part equal to `size`, and those without."""
+    if total == 0:
+        return 1
+    if parts == 0 or size == 0:
+        return 0
+    if size > total:
+        return _naive_count(total, parts, total)
+    return _naive_count(total - size, parts - 1, size) + _naive_count(total, parts, size - 1)
+
+
 class TestBoxCounts:
-    def test_gaussian_counts_equal_the_dag_counts(self, monkeypatch):
-        # Pruned m is read off [2k, k]_q; the brute DAG counts the same
-        # partitions, at most k parts of size at most k, from its root.
-        monkeypatch.setattr(enumeration, "_nodes", {})
+    def test_gaussian_counts_equal_naive_counts(self):
+        # Pruned m is read off [2k, k]_q: partitions with at most k parts
+        # of size at most k.
         for k in range(1, 13):
-            counts = enumeration._box_counts(k, k * k)
-            assert counts == [1] + [
-                enumeration._node(0, total, k, k, 1)[1] for total in range(1, k * k + 1)
-            ], k
+            counts = enumeration._box_counts(k, k * k, k)
+            assert counts == [_naive_count(total, k, k) for total in range(k * k + 1)], k
             # No partition fitting the box has a sum above k*k.
             for top in (1, k, 2 * k, k * k - 1, k * k + 3):
                 expected = (counts + [0] * 3)[: top + 1]
-                assert enumeration._box_counts(k, top) == expected, (k, top)
+                assert enumeration._box_counts(k, top, k) == expected, (k, top)
+
+    @pytest.mark.parametrize("k", range(1, enumeration.BRUTE_MAX_K + 1))
+    def test_unbounded_length_counts_equal_naive_counts(self, k):
+        # Brute m: partitions with parts of size at most k, any number of
+        # them; a length bound of at least the sum bounds nothing.
+        top = min(enumeration._BRUTE_MAX_CAP[k - 1], 300)
+        counts = enumeration._box_counts(k, top, top)
+        assert counts == [_naive_count(total, top, k) for total in range(top + 1)]
+        assert enumeration._box_counts(k, top, 10 * top) == counts
 
 
 class TestExtremalPairs:
