@@ -29,6 +29,34 @@ from zspairs.core import Multiset, Pair
 from helpers import ms, pair, scan_sum_reference, subset_sums_reference
 
 
+@functools.cache
+def _dag_node(total, max_part, max_len):
+    """A reference partition DAG, its nodes shared between parents: the
+    partitions of `total` into at most `max_len` parts of size at most
+    `max_part`, as (their count, children).  A child (v, c, node) starts
+    with c copies of v, largest v and longest run first; dead children
+    are left out."""
+    if total == 0:
+        return 1, ()
+    children = []
+    for v in range(min(max_part, total), 0, -1):
+        for c in range(min(total // v, max_len), 0, -1):
+            child = _dag_node(total - v * c, v - 1, max_len - c)
+            if child[0]:
+                children.append((v, c, child))
+    return sum(child[0] for _, _, child in children), tuple(children)
+
+
+def _dag_walk(node):
+    """The run tuples below `node`, in child order."""
+    _, children = node
+    if not children:
+        yield ()
+    for v, c, child in children:
+        for rest in _dag_walk(child):
+            yield ((v, c),) + rest
+
+
 class TestEnumerateMultisets:
     def test_bounded_parts(self):
         assert list(enumerate_multisets(2, 3)) == [ms(2, 1), ms(1, 1, 1)]
@@ -57,6 +85,14 @@ class TestEnumerateMultisets:
         # round((t + 3)**2 / 12) partitions of t into parts of at most 3.
         assert sum(1 for _ in enumerate_multisets(3, 60)) == 331
         assert enumeration._searched == {}
+
+    def test_matches_the_dag_walk(self):
+        for k in range(1, 7):
+            for total in range(1, 16):
+                root = _dag_node(total, k, total)
+                expected = [Multiset(runs) for runs in _dag_walk(root)]
+                assert len(expected) == root[0], (k, total)
+                assert list(enumerate_multisets(k, total)) == expected, (k, total)
 
 
 def _runs(parts):
@@ -89,9 +125,10 @@ def test_partitions_match_reference(total):
             assert counts[total] == fits, (max_part, max_len)
 
 
-@pytest.mark.parametrize(
-    "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
-)
+_SURVEYS = [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("mode,k", _SURVEYS)
 def test_partition_sums_match_reference(mode, k):
     # The search keeps subset sums as it grows each side; every pair it
     # reports is two partitions of the sum, within the mode's bounds,
@@ -105,6 +142,37 @@ def test_partition_sums_match_reference(mode, k):
                 assert max(a.cardinality, b.cardinality) <= k
             shared = subset_sums_reference(a) & subset_sums_reference(b)
             assert shared == 1 | 1 << total, (runs_a, runs_b)
+
+
+@pytest.mark.parametrize("mode,k", _SURVEYS)
+def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
+    # The search drops a pair of prefixes once they share an interior
+    # sum, so the sides it reports at a sum are, in candidate order,
+    # exactly the candidates with an irreducible partner.  Partners'
+    # interior sums in 1..k, their low keys, miss each other, so only
+    # candidates under disjoint keys are compared.  The candidates come
+    # off the reference DAG, in the order test_matches_the_dag_walk
+    # holds enumerate_multisets to.
+    for total in range(1, k * k + 1):
+        max_len = total if mode == "brute" else k
+        candidates = [Multiset(runs) for runs in _dag_walk(_dag_node(total, k, max_len))]
+        low = ((2 << k) - 2) & ((1 << total) - 2)
+        by_key: dict[int, list] = {}
+        for m in candidates:
+            sums = subset_sums_reference(m)
+            by_key.setdefault(sums & low, []).append((m, sums))
+        partnered = set()
+        for key_a, key_b in itertools.combinations_with_replacement(by_key, 2):
+            if key_a & key_b:
+                continue
+            for a, sums_a in by_key[key_a]:
+                for b, sums_b in by_key[key_b]:
+                    if sums_a & sums_b == 1 | 1 << total:
+                        partnered |= {a, b}
+        expected = [m.runs for m in candidates if m in partnered]
+        hits, _ = enumeration._scan_sum(k, total, mode)
+        got = sorted({runs for hit in hits for runs in hit}, reverse=True)
+        assert got == expected, total
 
 
 @pytest.mark.parametrize("total", range(1, 13))
@@ -633,11 +701,13 @@ def _naive_count(total, parts, size):
 
 
 class TestBoxCounts:
-    def test_gaussian_counts_equal_naive_counts(self):
+    def test_gaussian_counts_equal_the_dag_counts(self):
         # Pruned m is read off [2k, k]_q: partitions with at most k parts
-        # of size at most k.
+        # of size at most k, as the reference DAG and the naive recursion
+        # count them.
         for k in range(1, 13):
             counts = enumeration._box_counts(k, k * k, k)
+            assert counts == [_dag_node(total, k, k)[0] for total in range(k * k + 1)], k
             assert counts == [_naive_count(total, k, k) for total in range(k * k + 1)], k
             # No partition fitting the box has a sum above k*k.
             for top in (1, k, 2 * k, k * k - 1, k * k + 3):
