@@ -7,26 +7,11 @@ theorem, so whatever it reports about maximum lengths is discovered, not
 assumed; it is the oracle pruned mode is validated against on
 overlapping ranges.
 
-Pruned mode generates no candidates.  It rests on the derivation lemma
-(see `derivation`): an (a, b)-derivation maps an irreducible pair to an
-irreducible pair one element shorter, with a smaller sum and neither
-maximum raised, and every irreducible pair of length >= 3 has a valid
-(max A, max B)-derivation, its canonical parent.  So the irreducible
-pairs with values <= k form a tree with the roots v | v, v <= k, and a
-reverse search (Avis and Fukuda, 1996) lists them from a stack: a child
-replaces one value d on side X by d + e and adds e to side Y, and is
-kept only if its sides' interior sums are disjoint and the node at hand
-is its canonical parent, so no seen-set is needed.  Since each side's
-cardinality is at most the other side's maximum, no irreducible pair has
-a sum above k*k, and pruned mode stops there.  Its hits are sorted into
-brute mode's order, and it still reports m(m+1)/2 candidate pairs for
-the m same-sum multisets of at most k parts that it no longer builds.
-
-Brute mode builds no candidates either: it grows both sides of a pair
-at once, from a stack, for every sum up to the cap in one search.  A
-pair is irreducible iff the interior subset sums of its sides, those in
-1..S-1, are disjoint.  Each side gains elements in descending order, and
-the side with the smaller partial sum is the one extended.  A pair of
+Neither mode builds candidates: one search grows both sides of a pair
+at once, from a stack, for every sum up to a top in one pass.  A pair is
+irreducible iff the interior subset sums of its sides, those in 1..S-1,
+are disjoint.  Each side gains elements in descending order, and the
+side with the smaller partial sum is the one extended.  A pair of
 prefixes whose subset sums share a positive value is dropped: subset
 sums only gain bits as a prefix grows, and the shared value is at most
 the smaller partial sum, so it lies below the larger one and is interior
@@ -38,17 +23,29 @@ first element is below A's, A being the side earlier in candidate
 order.  Given a pair's sides, the order in which the search adds their
 elements is forced, and no prefix of an irreducible pair is dropped, so
 the search reaches each irreducible pair exactly once and needs no
-seen-set.  Nothing but the definition is used, so brute mode stays
-theorem-free.  Each sum's hits are sorted into candidate order and kept
-in a memo that `_scan_sum(k, S, mode)` reads; pruned mode's `_scan_sum`
-keeps the hits whose sides have at most k elements, and is the
-reference the reverse search is tested against.
+seen-set.  Each sum's hits are sorted into candidate order and kept in a
+memo that `_scan_sum(k, S, mode)` reads.
+
+The mode enters the search as two numbers: the top sum, and `most`, the
+largest side size.  A lighter side that already has `most` elements is
+dropped, since it must still grow to reach the heavier side's sum.
+Brute mode searches to the cap with `most` = the cap, which bounds
+nothing, so it uses nothing but the definition and stays theorem-free.
+Pruned mode searches with `most` = k, so each hit is one of the
+candidates it counts, multisets of at most k parts, and to min(cap,
+k*k), the largest sum of such a multiset.  It rests on the theorem that
+each side's cardinality is at most the other side's maximum: no
+irreducible pair lies past those bounds.  The side bound has dropped no
+prefix pair in any search measured (pruned k = 9 and 12 pop the same
+1,877 and 14,564 entries without it).  Pruned mode still reports
+m(m+1)/2 candidate pairs for the m same-sum multisets of at most k parts
+that it never builds.
 
 Neither mode lists the candidates it counts.  The m multisets of sum S
-with values <= k, and with at most L elements, are the coefficient of
-q^S in the product of (1 - q^(L+i)) / (1 - q^i) for i = 1..k: L = k in
-pruned mode, the Gaussian binomial [2k, k]_q, and L = the cap in brute
-mode, where it bounds nothing.
+with values <= k, and with at most L = `most` elements, are the
+coefficient of q^S in the product of (1 - q^(L+i)) / (1 - q^i) for
+i = 1..k: in pruned mode the Gaussian binomial [2k, k]_q, and in brute
+mode a product whose length bound bounds nothing.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -57,7 +54,7 @@ cap fails with ResourceLimitError when the config is made.
 Every survey runs in the calling process, sum by sum in S order.  The
 worker count is checked but changes nothing: starting a process pool
 (about 10 ms on 2 vCPUs) cost more than it saved on every shipped brute
-survey, and pruned mode's tree hangs almost entirely off the root 1 | 1.
+survey, and pruned surveys run the same search.
 """
 
 from __future__ import annotations
@@ -68,6 +65,7 @@ from typing import Iterator
 
 from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
 from .formats import pair_to_obj
+# Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
 
 BRUTE_MAX_K = 7
@@ -78,9 +76,10 @@ PRUNED_MAX_K = 12
 # survey at each cap now takes 0.2-1.6 ms for k = 2..7, the most at k=7,
 # and 10 ms at k=1, where one step per sum is the cost, on 2 vCPUs
 # (Python 3.11.7, best of 7, two rounds).
-# Pruned mode builds no candidates and takes any cap; at PRUNED_MAX_K its
-# whole survey took 0.09-0.10 s and peaked at 20 MB on 2 vCPUs (Python
-# 3.11.7, best and median of 9, two rounds).
+# Pruned mode runs the same search, bounded to sides of k elements and
+# sums of k*k, and takes any cap; at PRUNED_MAX_K its whole survey took
+# 0.04-0.07 s and peaked at 18 MB on a noisy 2-vCPU host (Python 3.11.7,
+# best of 9 in each of ten rounds).
 _BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
 
 _MODES = ("brute", "pruned")
@@ -173,30 +172,36 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
     yield runs + ((1, remaining),)
 
 
-# Each k's search results, shared by every sum of one survey and emptied
-# when a survey starts, so a survey never reads another's work.  They
-# live at module level because `_scan_sum` gets only (k, total, mode).
-_searched: dict[int, tuple] = {}
+# Each (k, mode)'s search results, shared by every sum of one survey and
+# emptied when a survey starts, so a survey never reads another's work.
+# They live at module level because `_scan_sum` gets only (k, total, mode).
+_searched: dict[tuple[int, str], tuple] = {}
 
 
-def _search(k: int, top: int):
-    """Every irreducible canonical pair with values in [1, k] and a sum of
-    at most `top`, stored as k's entry in `_searched` and returned: (top,
-    a dict from each sum to its hits in candidate order, m for S = 0..top,
-    and m for at most k elements and S = 0..min(top, k*k)).
+def _search(k: int, top: int, most: int):
+    """Every irreducible canonical pair with values in [1, k], a sum of at
+    most `top` and sides of at most `most` elements: (top, a dict from
+    each sum to its hits in candidate order, and m, the multisets of at
+    most `most` elements, for S = 0..top).  A `most` of at least `top`
+    bounds nothing.
 
-    A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, X is
-    A) for the lighter side X of sum x < y, which gains the next element
-    e, at most its last one.  The entries come off the stack having no
-    shared positive sum, so only X's sums shifted by e can meet Y's."""
+    A stack entry is (x, X, X's subset sums, |X|, y, Y, Y's subset sums,
+    |Y|, X is A) for the lighter side X of sum x < y, which gains the next
+    element e, at most its last one.  An X of `most` elements is dropped,
+    since it must grow to reach y.  The entries come off the stack having
+    no shared positive sum, so only X's sums shifted by e can meet Y's."""
     found: dict[int, list] = {}
     stack = []
     for v in range(1, min(k, top) + 1):
         runs = ((v, 1),)
         found[v] = [(runs, runs)]
-        stack += [(e, ((e, 1),), 1 | 1 << e, v, runs, 1 | 1 << v, False) for e in range(1, v)]
+        stack += [
+            (e, ((e, 1),), 1 | 1 << e, 1, v, runs, 1 | 1 << v, 1, False) for e in range(1, v)
+        ]
     while stack:
-        x, runs_x, sums_x, y, runs_y, sums_y, x_is_a = stack.pop()
+        x, runs_x, sums_x, n_x, y, runs_y, sums_y, n_y, x_is_a = stack.pop()
+        if n_x == most:
+            continue
         last, c = runs_x[-1]
         for e in range(1, min(last, top - x) + 1):
             shifted = sums_x << e
@@ -210,51 +215,33 @@ def _search(k: int, top: int):
             runs = runs_x[:-1] + ((e, c + 1),) if e == last else runs_x + ((e, 1),)
             if total == y:
                 found.setdefault(y, []).append((runs, runs_y) if x_is_a else (runs_y, runs))
-            elif total < y:
-                stack.append((total, runs, sums_x | shifted, y, runs_y, sums_y, x_is_a))
+                continue
+            sums = sums_x | shifted
+            if total < y:
+                stack.append((total, runs, sums, n_x + 1, y, runs_y, sums_y, n_y, x_is_a))
             else:
-                stack.append((y, runs_y, sums_y, total, runs, sums_x | shifted, not x_is_a))
+                stack.append((y, runs_y, sums_y, n_y, total, runs, sums, n_x + 1, not x_is_a))
     for hits in found.values():
         # Run tuples order as their multisets do: descending is candidate order.
         hits.sort(reverse=True)
-    entry = (top, found, _box_counts(k, top, top), _box_counts(k, min(top, k * k), k))
-    _searched[k] = entry
-    return entry
+    return top, found, _box_counts(k, top, most)
 
 
 def _scan_sum(k: int, total: int, mode: str):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples in candidate order, plus the number of candidate pairs,
     m(m+1)/2 for the m multisets of sum `total` with values at most k,
-    and in pruned mode at most k elements.  Pruned mode keeps the hits
-    whose sides have at most k elements.  Both are read off k's search;
-    a sum past its top searches again, to at least twice that top, so
-    calls for S = 1..cap search O(log cap) times."""
-    entry = _searched.get(k)
+    and in pruned mode at most k elements.  Both are read off the mode's
+    search, which in pruned mode keeps sides to at most k elements; a sum
+    past its top searches again, to at least twice that top, so calls for
+    S = 1..cap search O(log cap) times."""
+    entry = _searched.get((k, mode))
     if entry is None or entry[0] < total:
-        entry = _search(k, total if entry is None else max(total, 2 * entry[0]))
-    _, found, counts, box = entry
-    hits = found.get(total, [])
-    if mode == "brute":
-        m = counts[total]
-    else:
-        hits = [
-            (runs_a, runs_b)
-            for runs_a, runs_b in hits
-            if sum(c for _, c in runs_a) <= k and sum(c for _, c in runs_b) <= k
-        ]
-        m = box[total] if total < len(box) else 0
-    return hits, m * (m + 1) // 2
-
-
-def _inserted(runs: tuple[tuple[int, int], ...], value: int) -> tuple[tuple[int, int], ...]:
-    """`runs` with one more copy of `value`."""
-    for i, (v, c) in enumerate(runs):
-        if v == value:
-            return runs[:i] + ((v, c + 1),) + runs[i + 1 :]
-        if v < value:
-            return runs[:i] + ((value, 1),) + runs[i:]
-    return runs + ((value, 1),)
+        top = total if entry is None else max(total, 2 * entry[0])
+        entry = _searched[k, mode] = _search(k, top, top if mode == "brute" else k)
+    _, found, counts = entry
+    m = counts[total]
+    return found.get(total, []), m * (m + 1) // 2
 
 
 def _box_counts(k: int, top: int, length: int) -> list[int]:
@@ -274,64 +261,8 @@ def _box_counts(k: int, top: int, length: int) -> list[int]:
     return counts
 
 
-def _derived_sums(k: int, top: int):
-    """Pruned mode's per-sum results for S = 1..top, equal to
-    `_scan_sum(k, S, "pruned")`, by reverse search from the roots v | v.
-
-    A stack entry is (sum, X, X's subset sums, Y, Y's subset sums), where
-    X is the side whose value d becomes d + e as Y gains e.  The child's
-    maxima are then d + e and e exactly when e >= max Y and d + e >= max X,
-    and its (d + e, e)-derivation, its canonical parent, undoes the move;
-    so those moves reach each pair once.  A pair is pushed once per side
-    as X, a root once, since its sides are equal.  m, the number of
-    multisets of sum S with at most k elements of size at most k, is read
-    off [2k, k]_q."""
-    found: list[list] = [[] for _ in range(top + 1)]
-    # Subset sums cannot drop an element, so each X - d is folded anew,
-    # once per survey: many nodes share it.
-    folded: dict[tuple[tuple[int, int], ...], int] = {}
-    stack = []
-    for v in range(1, min(k, top) + 1):
-        runs = ((v, 1),)
-        found[v].append((runs, runs))
-        stack.append((v, runs, 1 | 1 << v, runs, 1 | 1 << v))
-    while stack:
-        total, x, x_sums, y, y_sums = stack.pop()
-        max_x = x[0][0]
-        max_y = y[0][0]
-        for i, (d, c) in enumerate(x):
-            lo = max_y if max_y > max_x - d else max_x - d
-            hi = k - d if k - d < top - total else top - total
-            if lo > hi:
-                continue
-            rest = x[:i] + ((d, c - 1),) + x[i + 1 :] if c > 1 else x[:i] + x[i + 1 :]
-            rest_sums = folded.get(rest)
-            if rest_sums is None:
-                rest_sums = 1
-                for v, n in rest:
-                    rest_sums = _fold_run(rest_sums, v, n)
-                folded[rest] = rest_sums
-            for e in range(lo, hi + 1):
-                new_x_sums = rest_sums | rest_sums << (d + e)
-                new_y_sums = y_sums | y_sums << e
-                if new_x_sums & new_y_sums & ((1 << (total + e)) - 2):
-                    continue
-                new_x = _inserted(rest, d + e)
-                new_y = _inserted(y, e)
-                found[total + e].append((new_x, new_y) if new_x > new_y else (new_y, new_x))
-                stack.append((total + e, new_x, new_x_sums, new_y, new_y_sums))
-                stack.append((total + e, new_y, new_y_sums, new_x, new_x_sums))
-    counts = _box_counts(k, top, k)
-    for total in range(1, top + 1):
-        hits = found[total]
-        # Run tuples order as their multisets do: descending is candidate order.
-        hits.sort(reverse=True)
-        m = counts[total]
-        yield hits, m * (m + 1) // 2
-
-
 def _scan_task(args: tuple[int, int, str]):
-    """One sum of a brute survey: `_scan_sum` on a (k, total, mode) task."""
+    """One sum of a survey: `_scan_sum` on a (k, total, mode) task."""
     return _scan_sum(*args)
 
 
@@ -344,17 +275,17 @@ def check_workers(workers: int) -> None:
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Both modes run in this process; pruned mode runs
-    its reverse search, brute mode scans sum by sum.  The worker count
-    is checked, the search memo emptied and brute mode's search run once,
-    to the cap, when this is called, before any sum is scanned."""
+    of size at most k.  Both modes run one search in this process, which
+    pruned mode bounds to sides of at most k elements, and then scan it
+    sum by sum.  The worker count is checked, the search memo emptied and
+    the search run, to the top sum, when this is called, before any sum
+    is scanned."""
     check_workers(workers)
-    top = cfg.sum_cap if cfg.mode == "brute" else min(cfg.sum_cap, cfg.k * cfg.k)
+    k, mode = cfg.k, cfg.mode
+    top = cfg.sum_cap if mode == "brute" else min(cfg.sum_cap, k * k)
     _searched.clear()
-    if cfg.mode == "pruned":
-        return _derived_sums(cfg.k, top)
-    _search(cfg.k, top)
-    return map(_scan_task, [(cfg.k, S, cfg.mode) for S in range(1, top + 1)])
+    _searched[k, mode] = _search(k, top, top if mode == "brute" else k)
+    return map(_scan_task, [(k, S, mode) for S in range(1, top + 1)])
 
 
 def _windowed(cfg: EnumConfig, hits):
@@ -382,6 +313,7 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
     return (
         Pair(Multiset(runs_a), Multiset(runs_b))
         for hits, _ in _scan_all(cfg, workers)
+        if hits
         for _, (runs_a, runs_b) in _windowed(cfg, hits)
     )
 
@@ -401,6 +333,8 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     irreducible = 0
     for hits, sc in _scan_all(cfg, workers):
         scanned += sc
+        if not hits:
+            continue
         irreducible += len(hits)
         for length, (runs_a, runs_b) in _windowed(cfg, hits):
             if length < ell:

@@ -364,8 +364,9 @@ class TestIrreducibilityPreservation:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_brute_pair_has_its_canonical_parent(self, k):
-        # The (max A, max B)-derivation is the parent the reverse search
-        # reaches each pair from; it must be valid and stay in the set.
+        # The (max A, max B)-derivation is the parent the reference reverse
+        # search in test_enumeration reaches each pair from; it must be
+        # valid and stay in the set.
         brute = set(enumerate_irreducible(EnumConfig(k=k)))
         for p in brute:
             if p.length > 2:

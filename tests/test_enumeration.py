@@ -365,6 +365,74 @@ class TestEnumerateIrreducible:
         assert serial == fanned
 
 
+def _inserted(runs, value):
+    """`runs` with one more copy of `value`."""
+    for i, (v, c) in enumerate(runs):
+        if v == value:
+            return runs[:i] + ((v, c + 1),) + runs[i + 1 :]
+        if v < value:
+            return runs[:i] + ((value, 1),) + runs[i:]
+    return runs + ((value, 1),)
+
+
+def _reverse_search(k, top):
+    """Pruned mode's per-sum results for S = 1..top, by reverse search
+    (Avis and Fukuda, 1996) over derivations from the roots v | v: a
+    route to the same pairs that shares nothing with the package's search
+    but the count DP.
+
+    An (a, b)-derivation maps an irreducible pair to an irreducible pair
+    one element shorter, and every irreducible pair of length >= 3 has a
+    valid (max A, max B)-derivation, its canonical parent (see
+    `derivation`).  A stack entry is (sum, X, X's subset sums, Y, Y's
+    subset sums), where X is the side whose value d becomes d + e as Y
+    gains e.  The child's maxima are then d + e and e exactly when
+    e >= max Y and d + e >= max X, and its (d + e, e)-derivation undoes
+    the move; so those moves reach each pair once.  A pair is pushed once
+    per side as X, a root once, since its sides are equal."""
+    found = [[] for _ in range(top + 1)]
+    # Subset sums cannot drop an element, so each X - d is folded anew,
+    # once per search: many nodes share it.
+    folded = {}
+    stack = []
+    for v in range(1, min(k, top) + 1):
+        runs = ((v, 1),)
+        found[v].append((runs, runs))
+        stack.append((v, runs, 1 | 1 << v, runs, 1 | 1 << v))
+    while stack:
+        total, x, x_sums, y, y_sums = stack.pop()
+        max_x = x[0][0]
+        max_y = y[0][0]
+        for i, (d, c) in enumerate(x):
+            lo = max(max_y, max_x - d)
+            hi = min(k - d, top - total)
+            if lo > hi:
+                continue
+            rest = x[:i] + ((d, c - 1),) + x[i + 1 :] if c > 1 else x[:i] + x[i + 1 :]
+            if rest not in folded:
+                bits = 1
+                for v, n in rest:
+                    for _ in range(n):
+                        bits |= bits << v
+                folded[rest] = bits
+            rest_sums = folded[rest]
+            for e in range(lo, hi + 1):
+                new_x_sums = rest_sums | rest_sums << (d + e)
+                new_y_sums = y_sums | y_sums << e
+                if new_x_sums & new_y_sums & ((1 << (total + e)) - 2):
+                    continue
+                new_x = _inserted(rest, d + e)
+                new_y = _inserted(y, e)
+                found[total + e].append((new_x, new_y) if new_x > new_y else (new_y, new_x))
+                stack.append((total + e, new_x, new_x_sums, new_y, new_y_sums))
+                stack.append((total + e, new_y, new_y_sums, new_x, new_x_sums))
+    counts = enumeration._box_counts(k, top, k)
+    for total in range(1, top + 1):
+        m = counts[total]
+        # Run tuples order as their multisets do: descending is candidate order.
+        yield sorted(found[total], reverse=True), m * (m + 1) // 2
+
+
 class TestScanKernel:
     # Caps past k*k, as at the budget edges: wide masks, sparse partners.
     @pytest.mark.parametrize(
@@ -399,19 +467,44 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("k", range(1, enumeration.PRUNED_MAX_K + 1))
     def test_pruned_stream_matches_the_scan_kernel(self, k):
-        # Pruned surveys run the reverse search, which rests on the
-        # derivation lemma; the brute search, which uses no theorem, is
-        # the reference for every sum it could hold a pair at.
+        # Pruned surveys run the two-sided search with sides bounded to k
+        # elements.  Two references hold it sum by sum: a reverse search
+        # over derivations, which rests on the derivation lemma, and the
+        # same search with no side bound, which uses no theorem, its hits
+        # kept to sides of at most k elements here.
         stream = list(enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1))
         assert len(stream) == k * k
-        for total, item in enumerate(stream, 1):
-            assert item == enumeration._scan_sum(k, total, "pruned"), total
+        reverse = _reverse_search(k, k * k)
+        _, found, _ = enumeration._search(k, k * k, k * k)
+        for total, (item, expected) in enumerate(zip(stream, reverse), 1):
+            assert item == expected, total
+            unbounded = [
+                (runs_a, runs_b)
+                for runs_a, runs_b in found.get(total, [])
+                if sum(c for _, c in runs_a) <= k and sum(c for _, c in runs_b) <= k
+            ]
+            assert item[0] == unbounded, total
 
     def test_pruned_stream_matches_recorded_digest(self):
         h = hashlib.sha256()
         for item in enumeration._scan_all(EnumConfig(k=9, mode="pruned"), 1):
             h.update(repr(item).encode())
         assert h.hexdigest() == self._DIGESTS["pruned", 9, 81]
+
+    # sha256 over repr(item) for the items of a pruned survey, recorded
+    # from the reverse search that pruned surveys ran before this search.
+    _PRUNED_DIGESTS = {
+        10: "497936ebad25fc98b2e2f596d7c63f244c4f49f64acdbeba33eb72185b042ef2",
+        11: "0393235f98236cd00a55fe7654851c2b828fb25ab2160c26255d7b5e0ea43d7f",
+        12: "e20a798e46de0e818aaf1b9366109b46ff94b4e6cfdab621dc0ab71e6fe2d477",
+    }
+
+    @pytest.mark.parametrize("k", list(_PRUNED_DIGESTS))
+    def test_pruned_stream_past_k9_matches_recorded_digest(self, k):
+        h = hashlib.sha256()
+        for item in enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1):
+            h.update(repr(item).encode())
+        assert h.hexdigest() == self._PRUNED_DIGESTS[k]
 
     def test_depth_does_not_grow_with_the_sum(self, monkeypatch):
         # Both searches run from a stack, so surveys at the largest brute
@@ -452,14 +545,22 @@ class TestScanKernel:
             monkeypatch.setattr(enumeration, name, counting)
         return calls
 
-    @pytest.mark.parametrize("k,cap", [(1, 11280), (2, 709), (6, 36), (7, 65)])
-    def test_brute_survey_searches_once_and_scans_each_sum_once(self, monkeypatch, k, cap):
+    @pytest.mark.parametrize(
+        "mode,k,cap",
+        [("brute", 1, 11280), ("brute", 2, 709), ("brute", 6, 36), ("brute", 7, 65)]
+        + [("pruned", 9, 81), ("pruned", 12, 144)],
+        ids=["1-11280", "2-709", "6-36", "7-65", "pruned-9-81", "pruned-12-144"],
+    )
+    def test_brute_survey_searches_once_and_scans_each_sum_once(self, monkeypatch, mode, k, cap):
+        # Both modes run one search, bounded to sides of `most` elements:
+        # the cap in brute mode, where it bounds nothing, and k in pruned.
         calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts")
-        report = compute_ell(EnumConfig(k=k, sum_cap=cap))
+        report = compute_ell(EnumConfig(k=k, sum_cap=cap, mode=mode))
         assert report.ell == max(2, 2 * k - 1)
-        assert calls["_search"] == [(k, cap)]
-        assert calls["_scan_sum"] == [(k, total, "brute") for total in range(1, cap + 1)]
-        assert len(calls["_box_counts"]) == 2
+        most = cap if mode == "brute" else k
+        assert calls["_search"] == [(k, cap, most)]
+        assert calls["_scan_sum"] == [(k, total, mode) for total in range(1, cap + 1)]
+        assert calls["_box_counts"] == [(k, cap, most)]
 
     @pytest.mark.parametrize("mode,k,cap", [("brute", 1, 11280), ("brute", 7, 65), ("pruned", 9, 81)])
     def test_scans_by_sum_search_a_logarithmic_number_of_times(self, monkeypatch, mode, k, cap):
@@ -469,10 +570,17 @@ class TestScanKernel:
         calls = self._counting(monkeypatch, "_search", "_box_counts")
         for total in range(1, cap + 1):
             enumeration._scan_sum(k, total, mode)
-        tops = [top for _, top in calls["_search"]]
+        tops = [top for _, top, _ in calls["_search"]]
         assert tops == [2**i for i in range(len(tops))]
         assert tops[-1] >= cap > tops[-2]
-        assert len(calls["_box_counts"]) == 2 * len(tops)
+        assert len(calls["_box_counts"]) == len(tops)
+
+
+@pytest.mark.parametrize("name", ["_scan_all", "_scan_sum", "_scan_task", "_fold_run", "pair_to_obj"])
+def test_keeps_the_names_the_tracer_patches(name):
+    # A traced benchmark round replaces these enumeration names and puts
+    # them back afterwards; one missing name fails the round part-way.
+    assert hasattr(enumeration, name), f"perfbench/tracing.py patches enumeration.{name}"
 
 
 class TestWorkerCount:
