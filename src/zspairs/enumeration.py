@@ -23,8 +23,9 @@ first element is below A's, A being the side earlier in candidate
 order.  Given a pair's sides, the order in which the search adds their
 elements is forced, and no prefix of an irreducible pair is dropped, so
 the search reaches each irreducible pair exactly once and needs no
-seen-set.  Each sum's hits are sorted into candidate order and kept in a
-memo that `_scan_sum(k, S, mode)` reads.
+seen-set.  Each sum's hits are sorted into candidate order.  A survey
+runs the search once, in `_scan_all`, and reads each sum off its own
+result, so no survey shares state with another.
 
 The mode enters the search as two numbers: the top sum, and `most`, the
 largest side size.  A lighter side that already has `most` elements is
@@ -172,17 +173,11 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
     yield runs + ((1, remaining),)
 
 
-# Each (k, mode)'s search results, shared by every sum of one survey and
-# emptied when a survey starts, so a survey never reads another's work.
-# They live at module level because `_scan_sum` gets only (k, total, mode).
-_searched: dict[tuple[int, str], tuple] = {}
-
-
 def _search(k: int, top: int, most: int):
     """Every irreducible canonical pair with values in [1, k], a sum of at
-    most `top` and sides of at most `most` elements: (top, a dict from
-    each sum to its hits in candidate order, and m, the multisets of at
-    most `most` elements, for S = 0..top).  A `most` of at least `top`
+    most `top` and sides of at most `most` elements: (a dict from each
+    sum to its hits in candidate order, and m, the multisets of at most
+    `most` elements, for S = 0..top).  A `most` of at least `top`
     bounds nothing.
 
     A stack entry is (x, X, X's subset sums, |X|, y, Y, Y's subset sums,
@@ -224,22 +219,14 @@ def _search(k: int, top: int, most: int):
     for hits in found.values():
         # Run tuples order as their multisets do: descending is candidate order.
         hits.sort(reverse=True)
-    return top, found, _box_counts(k, top, most)
+    return found, _box_counts(k, top, most)
 
 
-def _scan_sum(k: int, total: int, mode: str):
+def _scan_sum(found: dict, counts: list[int], total: int):
     """All irreducible canonical pairs with common sum `total`, as run
     tuples in candidate order, plus the number of candidate pairs,
-    m(m+1)/2 for the m multisets of sum `total` with values at most k,
-    and in pruned mode at most k elements.  Both are read off the mode's
-    search, which in pruned mode keeps sides to at most k elements; a sum
-    past its top searches again, to at least twice that top, so calls for
-    S = 1..cap search O(log cap) times."""
-    entry = _searched.get((k, mode))
-    if entry is None or entry[0] < total:
-        top = total if entry is None else max(total, 2 * entry[0])
-        entry = _searched[k, mode] = _search(k, top, top if mode == "brute" else k)
-    _, found, counts = entry
+    m(m+1)/2 for the m multisets of sum `total` that the search counts:
+    both read off one survey's search results `(found, counts)`."""
     m = counts[total]
     return found.get(total, []), m * (m + 1) // 2
 
@@ -261,8 +248,8 @@ def _box_counts(k: int, top: int, length: int) -> list[int]:
     return counts
 
 
-def _scan_task(args: tuple[int, int, str]):
-    """One sum of a survey: `_scan_sum` on a (k, total, mode) task."""
+def _scan_task(args: tuple[dict, list[int], int]):
+    """One sum of a survey: `_scan_sum` on a (found, counts, total) task."""
     return _scan_sum(*args)
 
 
@@ -276,16 +263,14 @@ def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
     of size at most k.  Both modes run one search in this process, which
-    pruned mode bounds to sides of at most k elements, and then scan it
-    sum by sum.  The worker count is checked, the search memo emptied and
-    the search run, to the top sum, when this is called, before any sum
-    is scanned."""
+    pruned mode bounds to sides of at most k elements, and then read it
+    sum by sum.  The worker count is checked and the search run, to the
+    top sum, when this is called, before any sum is read."""
     check_workers(workers)
-    k, mode = cfg.k, cfg.mode
-    top = cfg.sum_cap if mode == "brute" else min(cfg.sum_cap, k * k)
-    _searched.clear()
-    _searched[k, mode] = _search(k, top, top if mode == "brute" else k)
-    return map(_scan_task, [(k, S, mode) for S in range(1, top + 1)])
+    k, brute = cfg.k, cfg.mode == "brute"
+    top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
+    found, counts = _search(k, top, top if brute else k)
+    return map(_scan_task, [(found, counts, S) for S in range(1, top + 1)])
 
 
 def _windowed(cfg: EnumConfig, hits):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -80,11 +81,9 @@ class TestEnumerateMultisets:
         assert len(seen) == len(set(seen))
         assert all(m.sigma == 9 and m.max_value <= 4 for m in seen)
 
-    def test_leaves_the_node_memo_untouched(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_searched", {})
+    def test_counts_the_partitions_into_parts_of_at_most_three(self):
         # round((t + 3)**2 / 12) partitions of t into parts of at most 3.
         assert sum(1 for _ in enumerate_multisets(3, 60)) == 331
-        assert enumeration._searched == {}
 
     def test_matches_the_dag_walk(self):
         for k in range(1, 7):
@@ -97,6 +96,11 @@ class TestEnumerateMultisets:
 
 def _runs(parts):
     return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
+
+
+def _stream(k, cap, mode):
+    """A survey's per-sum (hits, candidate pairs), for S = 1..top."""
+    return list(enumeration._scan_all(EnumConfig(k=k, sum_cap=cap, mode=mode), 1))
 
 
 @pytest.mark.parametrize("total", range(1, 13))
@@ -133,8 +137,7 @@ def test_partition_sums_match_reference(mode, k):
     # The search keeps subset sums as it grows each side; every pair it
     # reports is two partitions of the sum, within the mode's bounds,
     # whose reference subset sums meet only in 0 and the sum.
-    for total in range(1, k * k + 1):
-        hits, _ = enumeration._scan_sum(k, total, mode)
+    for total, (hits, _) in enumerate(_stream(k, k * k, mode), 1):
         for runs_a, runs_b in hits:
             a, b = Multiset(runs_a), Multiset(runs_b)
             assert a.sigma == b.sigma == total and max(a.max_value, b.max_value) <= k
@@ -153,7 +156,7 @@ def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
     # candidates under disjoint keys are compared.  The candidates come
     # off the reference DAG, in the order test_matches_the_dag_walk
     # holds enumerate_multisets to.
-    for total in range(1, k * k + 1):
+    for total, (hits, _) in enumerate(_stream(k, k * k, mode), 1):
         max_len = total if mode == "brute" else k
         candidates = [Multiset(runs) for runs in _dag_walk(_dag_node(total, k, max_len))]
         low = ((2 << k) - 2) & ((1 << total) - 2)
@@ -170,7 +173,6 @@ def test_partner_filter_keeps_exactly_the_partnered_candidates(mode, k):
                     if sums_a & sums_b == 1 | 1 << total:
                         partnered |= {a, b}
         expected = [m.runs for m in candidates if m in partnered]
-        hits, _ = enumeration._scan_sum(k, total, mode)
         got = sorted({runs for hit in hits for runs in hit}, reverse=True)
         assert got == expected, total
 
@@ -245,8 +247,8 @@ print(json.dumps(obj))
     [("brute", 6, [("brute", 5), ("pruned", 6)]), ("pruned", 7, [("pruned", 8), ("brute", 7)])],
 )
 def test_survey_ignores_earlier_surveys(mode, k, earlier):
-    # The memos are shared by the sums of one survey; a survey after one
-    # with another k or mode must match one run first in a new process.
+    # Each survey reads only its own search; a survey after one with
+    # another k or mode must match one run first in a new process.
     src = Path(enumeration.__file__).resolve().parents[1]
     fresh = subprocess.run(
         [sys.executable, "-c", _FRESH_SURVEY, str(k), mode],
@@ -442,12 +444,12 @@ class TestScanKernel:
         + [("brute", 1, 200), ("brute", 2, 80), ("brute", 3, 40), ("brute", 4, 30)],
     )
     def test_join_matches_all_pairs_reference(self, mode, k, cap):
-        for total in range(1, cap + 1):
-            assert enumeration._scan_sum(k, total, mode) == scan_sum_reference(
-                k, total, mode
-            ), total
+        stream = _stream(k, cap, mode)
+        assert len(stream) == cap
+        for total, item in enumerate(stream, 1):
+            assert item == scan_sum_reference(k, total, mode), total
 
-    # sha256 over repr(_scan_sum(k, S, mode)) for S = 1..cap, recorded
+    # sha256 over repr(item) for a survey's items, S = 1..cap, recorded
     # from two kernels ago (a per-run partition DAG and a join), where
     # the all-pairs reference is too slow to run.
     _DIGESTS = {
@@ -458,11 +460,10 @@ class TestScanKernel:
     }
 
     @pytest.mark.parametrize("mode,k,cap", list(_DIGESTS), ids=str)
-    def test_stream_matches_recorded_digest(self, monkeypatch, mode, k, cap):
-        monkeypatch.setattr(enumeration, "_searched", {})
+    def test_stream_matches_recorded_digest(self, mode, k, cap):
         h = hashlib.sha256()
-        for total in range(1, cap + 1):
-            h.update(repr(enumeration._scan_sum(k, total, mode)).encode())
+        for item in _stream(k, cap, mode):
+            h.update(repr(item).encode())
         assert h.hexdigest() == self._DIGESTS[mode, k, cap]
 
     @pytest.mark.parametrize("k", range(1, enumeration.PRUNED_MAX_K + 1))
@@ -475,7 +476,7 @@ class TestScanKernel:
         stream = list(enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1))
         assert len(stream) == k * k
         reverse = _reverse_search(k, k * k)
-        _, found, _ = enumeration._search(k, k * k, k * k)
+        found, _ = enumeration._search(k, k * k, k * k)
         for total, (item, expected) in enumerate(zip(stream, reverse), 1):
             assert item == expected, total
             unbounded = [
@@ -506,10 +507,9 @@ class TestScanKernel:
             h.update(repr(item).encode())
         assert h.hexdigest() == self._PRUNED_DIGESTS[k]
 
-    def test_depth_does_not_grow_with_the_sum(self, monkeypatch):
+    def test_depth_does_not_grow_with_the_sum(self):
         # Both searches run from a stack, so surveys at the largest brute
-        # caps, and pruned k=9, run within 64 frames of the caller.  Each
-        # top sum is also scanned from an empty memo.
+        # caps, and pruned k=9, run within 64 frames of the caller.
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -519,12 +519,8 @@ class TestScanKernel:
         sys.setrecursionlimit(depth + 64)
         try:
             for k, cap in [(2, 709), (1, 11280), (7, 65)]:
-                monkeypatch.setattr(enumeration, "_searched", {})
-                enumeration._scan_sum(k, cap, "brute")
-                for _ in enumeration._scan_all(EnumConfig(k=k, sum_cap=cap), 1):
-                    pass
-            monkeypatch.setattr(enumeration, "_searched", {})
-            enumeration._scan_sum(9, 81, "pruned")
+                _stream(k, cap, "brute")
+            _stream(9, 81, "pruned")
             for _ in enumerate_irreducible(EnumConfig(k=9, mode="pruned")):
                 pass
         finally:
@@ -559,28 +555,46 @@ class TestScanKernel:
         assert report.ell == max(2, 2 * k - 1)
         most = cap if mode == "brute" else k
         assert calls["_search"] == [(k, cap, most)]
-        assert calls["_scan_sum"] == [(k, total, mode) for total in range(1, cap + 1)]
+        assert [total for _, _, total in calls["_scan_sum"]] == list(range(1, cap + 1))
+        # Every sum reads the one search's results.
+        assert len({(id(found), id(counts)) for found, counts, _ in calls["_scan_sum"]}) == 1
         assert calls["_box_counts"] == [(k, cap, most)]
 
-    @pytest.mark.parametrize("mode,k,cap", [("brute", 1, 11280), ("brute", 7, 65), ("pruned", 9, 81)])
-    def test_scans_by_sum_search_a_logarithmic_number_of_times(self, monkeypatch, mode, k, cap):
-        # Standalone calls for S = 1..cap grow the memo's top by doubling,
-        # so neither the search nor the count DP runs once per sum.
-        monkeypatch.setattr(enumeration, "_searched", {})
-        calls = self._counting(monkeypatch, "_search", "_box_counts")
-        for total in range(1, cap + 1):
-            enumeration._scan_sum(k, total, mode)
-        tops = [top for _, top, _ in calls["_search"]]
-        assert tops == [2**i for i in range(len(tops))]
-        assert tops[-1] >= cap > tops[-2]
-        assert len(calls["_box_counts"]) == len(tops)
+    @pytest.mark.parametrize(
+        "a,b,searches",
+        [
+            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7, 65, 65), (6, 36, 36)]),
+            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1, 11280, 11280), (2, 4, 4)]),
+            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9, 81, 9), (8, 64, 8)]),
+        ],
+        ids=["brute-7-65-with-6", "brute-1-11280-with-2", "pruned-9-with-8"],
+    )
+    def test_interleaved_surveys_each_search_once(self, monkeypatch, a, b, searches):
+        # Two surveys read side by side share nothing: each stream is its
+        # solo run, and each survey searches once, within its own config.
+        solo_a = list(enumerate_irreducible(a))
+        solo_b = list(enumerate_irreducible(b))
+        calls = self._counting(monkeypatch, "_search")
+        pairs = list(itertools.zip_longest(enumerate_irreducible(a), enumerate_irreducible(b)))
+        assert [p for p, _ in pairs if p is not None] == solo_a
+        assert [q for _, q in pairs if q is not None] == solo_b
+        assert calls["_search"] == searches
+
+
+# The positional arguments each replacement forwards or takes.
+_TRACER_ARITY = {"_scan_all": 2, "_scan_sum": 3, "_scan_task": 1}
 
 
 @pytest.mark.parametrize("name", ["_scan_all", "_scan_sum", "_scan_task", "_fold_run", "pair_to_obj"])
 def test_keeps_the_names_the_tracer_patches(name):
     # A traced benchmark round replaces these enumeration names and puts
-    # them back afterwards; one missing name fails the round part-way.
+    # them back afterwards; one missing name fails the round part-way,
+    # and so does a signature other than the one its replacement expects.
     assert hasattr(enumeration, name), f"perfbench/tracing.py patches enumeration.{name}"
+    if name in _TRACER_ARITY:
+        params = inspect.signature(getattr(enumeration, name)).parameters.values()
+        kinds = [p.kind for p in params]
+        assert kinds == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * _TRACER_ARITY[name], name
 
 
 class TestWorkerCount:
