@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -430,6 +432,73 @@ def test_survey_commands_accept_exactly_the_modes(command):
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     (mode_action,) = [a for a in sub.choices[command]._actions if a.dest == "mode"]
     assert tuple(mode_action.choices) == _MODES
+
+
+# sha256 of stdout, with the report's wall_time removed, for `ell K
+# --no-cache` and `enumerate K --format csv` at the default cap: brute
+# k = 1..7 and pruned k = 8..12.
+_PINNED_STDOUT = {
+    ("brute", 1): (
+        "2c3b695d6e182c1aa49ea42d91a1f32126ea89089f2675eab5a8e68f0b64d407",
+        "057370215a9232d4aed18e56a08ae77f279fc7f0807af500c5c11755c2c4fb24",
+    ),
+    ("brute", 2): (
+        "62ed38debfec2277218fd0a1e7cc3ff2874c4f3a7437358e35350c5eb9561ad4",
+        "a6f43c206d1f5b5127a83e4024682f38185c68e4d7e9962f9f93b1f910dd15d8",
+    ),
+    ("brute", 3): (
+        "d7b82a1722dd96e179f344d8f9a47bb3b36a67bcdd905d18e7d420fa7f76c4f5",
+        "1927860c0a036ded108645b6c75ae2a50921be4e20bcd364313b5ae2257e6dba",
+    ),
+    ("brute", 4): (
+        "84c4a7395c3154118204cb5429bcd21669a59b369d0d758fd71aae02eeae68b2",
+        "51749ac183c0bac9fc1ee0fa20f56c963955bb01bd42f1847bf6b17f49d43464",
+    ),
+    ("brute", 5): (
+        "ccd0c239cb08222307fd8252d8477978b407cbf9467b99361837113f9f04158c",
+        "0612df3b7e9471f05226eab6ded9029178e51db2bd5936b12cb9ec3d1c89ca37",
+    ),
+    ("brute", 6): (
+        "45c13ba61d4bdb353c104621a5070404293b079960ca8fddd209b2cb493ed335",
+        "1698e82e00677d090a774f82be7641d7f0862390e5fc8d51efa27f50aeb73395",
+    ),
+    ("brute", 7): (
+        "0bd11da6ee540abfe7f6d568991ddcb00c5ebc83c7c3dbce0ddae63a6c84a2e1",
+        "2c6a539859b34d9d51d315a6be38a4fd513a8dd5feee54ede7c4400884dcc2eb",
+    ),
+    ("pruned", 8): (
+        "00f41423b0345e8ec746de7fe11f7d5108d7baf0d2313c6f91fa826c0c4d03be",
+        "3a82befc739112b672c40256ca1611bc51d5385869bf5ac7092a718d872b9c06",
+    ),
+    ("pruned", 9): (
+        "c5cba538bcb7ac013493b42ac4c3726431b54c27b30394c0f32fd31daa0cbbd2",
+        "1d6c7744d407a74069205d805af8411fbb8ff6a0d6e632156cf6718ca3076d97",
+    ),
+    ("pruned", 10): (
+        "6ccb4d128b409b6acdefefee0351be58eb759300e4650f349fa32e147a30ae99",
+        "de2afeb9f5d2aaca350d8eff2e515566a103297597425be04cd8e06435582dc7",
+    ),
+    ("pruned", 11): (
+        "2e032b6074ebcd5844845b6f65e306cd46d77516d41516b8cbd9018ac01164fe",
+        "d950df1a70fd25d0da1505d116b02db9b013388977d4b1e5f11a07aeac149810",
+    ),
+    ("pruned", 12): (
+        "add36733173654636270dca6cc7648efaeaced19dc621da4085f1cf12cf53d85",
+        "600cab29c334409d9ddfd29b5f5574ba65a13e4c98588631f944e171fcf90090",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode,k", list(_PINNED_STDOUT), ids=str)
+def test_survey_stdout_matches_pinned_digest(capsys, mode, k):
+    ell_digest, csv_digest = _PINNED_STDOUT[mode, k]
+    code, out, _ = run(capsys, "ell", str(k), "--mode", mode, "--no-cache")
+    assert code == 0
+    out = re.sub(r',"wall_time":[^,}]*', "", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == ell_digest
+    code, out, _ = run(capsys, "enumerate", str(k), "--mode", mode, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == csv_digest
 
 
 _POOL_MODULES = """
