@@ -23,30 +23,32 @@ first element is below A's, A being the side earlier in candidate
 order.  Given a pair's sides, the order in which the search adds their
 elements is forced, and no prefix of an irreducible pair is dropped, so
 the search reaches each irreducible pair exactly once and needs no
-seen-set.  Each sum's hits are sorted into candidate order.  A survey
-runs the search once, in `_scan_all`, and reads each sum off its own
-result, so no survey shares state with another.
+seen-set.  A survey runs the search once, in `_scan_all`, and reads each
+sum off its own result, so no survey shares state with another.
 
-The mode enters the search as two numbers: the top sum, and `most`, the
-largest side size.  A lighter side that already has `most` elements is
-dropped, since it must still grow to reach the heavier side's sum.
-Brute mode searches to the cap with `most` = the cap, which bounds
-nothing, so it uses nothing but the definition and stays theorem-free.
-Pruned mode searches with `most` = k, so each hit is one of the
-candidates it counts, multisets of at most k parts, and to min(cap,
-k*k), the largest sum of such a multiset.  It rests on the theorem that
-each side's cardinality is at most the other side's maximum: no
-irreducible pair lies past those bounds.  The side bound has dropped no
-prefix pair in any search measured (pruned k = 9 and 12 pop the same
-1,877 and 14,564 entries without it).  Pruned mode still reports
-m(m+1)/2 candidate pairs for the m same-sum multisets of at most k parts
-that it never builds.
+A side is carried as linked runs, (value, count, the cell before this
+run), so extending it builds one small tuple.  Each hit is recorded,
+unsorted, as (length, A, B), the length counted in the stack entry.  Run
+tuples are built only where hits are read: `enumerate_irreducible`
+decodes and sorts each sum's hits in the length window, and
+`compute_ell` decodes only its witnesses.
+
+The mode enters the search as one number, the top sum.  Brute mode
+searches to the cap and uses nothing but the definition, so it stays
+theorem-free.  Pruned mode searches to min(cap, k*k), the largest sum of
+a multiset of at most k parts, and counts only such multisets as its
+candidates.  It rests on the theorem that each side's cardinality is at
+most the other side's maximum: no irreducible pair lies past those
+bounds, so every hit it reports is one of the candidates it counts.
+Pruned mode still reports m(m+1)/2 candidate pairs for the m same-sum
+multisets of at most k parts that it never builds.
 
 Neither mode lists the candidates it counts.  The m multisets of sum S
-with values <= k, and with at most L = `most` elements, are the
-coefficient of q^S in the product of (1 - q^(L+i)) / (1 - q^i) for
-i = 1..k: in pruned mode the Gaussian binomial [2k, k]_q, and in brute
-mode a product whose length bound bounds nothing.
+with values <= k, and with at most L elements (L = k in pruned mode, the
+top in brute mode), are the coefficient of q^S in the product of
+(1 - q^(L+i)) / (1 - q^i) for i = 1..k: in pruned mode the Gaussian
+binomial [2k, k]_q, and in brute mode a product whose length bound
+bounds nothing.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -62,6 +64,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
@@ -74,13 +78,12 @@ PRUNED_MAX_K = 12
 # The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
 # candidates, each weighed by the 64-bit words of its mask, stay within
 # 1,000,000 words, a budget kept from when brute mode built them.  A
-# survey at each cap now takes 0.2-1.6 ms for k = 2..7, the most at k=7,
-# and 10 ms at k=1, where one step per sum is the cost, on 2 vCPUs
+# survey at each cap now takes 0.1-0.5 ms for k = 2..7, the most at k=7,
+# and 5 ms at k=1, where one step per sum is the cost, on 2 vCPUs
 # (Python 3.11.7, best of 7, two rounds).
-# Pruned mode runs the same search, bounded to sides of k elements and
-# sums of k*k, and takes any cap; at PRUNED_MAX_K its whole survey took
-# 0.04-0.07 s and peaked at 18 MB on a noisy 2-vCPU host (Python 3.11.7,
-# best of 9 in each of ten rounds).
+# Pruned mode runs the same search to sums of k*k and takes any cap; at
+# PRUNED_MAX_K its whole survey took 0.019-0.024 s and peaked at 18 MB on
+# the same host (best of 9 in each of ten rounds).
 _BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
 
 _MODES = ("brute", "pruned")
@@ -173,31 +176,26 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
     yield runs + ((1, remaining),)
 
 
-def _search(k: int, top: int, most: int):
-    """Every irreducible canonical pair with values in [1, k], a sum of at
-    most `top` and sides of at most `most` elements: (a dict from each
-    sum to its hits in candidate order, and m, the multisets of at most
-    `most` elements, for S = 0..top).  A `most` of at least `top`
-    bounds nothing.
+def _search(k: int, top: int) -> dict[int, list]:
+    """Every irreducible canonical pair with values in [1, k] and a sum of
+    at most `top`: a dict from each sum to its hits, unsorted, each as
+    (length, A, B) with both sides as linked runs (see `_run_tuple`).
 
-    A stack entry is (x, X, X's subset sums, |X|, y, Y, Y's subset sums,
-    |Y|, X is A) for the lighter side X of sum x < y, which gains the next
-    element e, at most its last one.  An X of `most` elements is dropped,
-    since it must grow to reach y.  The entries come off the stack having
-    no shared positive sum, so only X's sums shifted by e can meet Y's."""
+    A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, the
+    pair's length, X is A) for the lighter side X of sum x < y, which
+    gains the next element e, at most its last one.  The entries come
+    off the stack having no shared positive sum, so only X's sums
+    shifted by e can meet Y's."""
     found: dict[int, list] = {}
     stack = []
     for v in range(1, min(k, top) + 1):
-        runs = ((v, 1),)
-        found[v] = [(runs, runs)]
-        stack += [
-            (e, ((e, 1),), 1 | 1 << e, 1, v, runs, 1 | 1 << v, 1, False) for e in range(1, v)
-        ]
+        side = (v, 1, None)
+        found[v] = [(2, side, side)]
+        stack += [(e, (e, 1, None), 1 | 1 << e, v, side, 1 | 1 << v, 2, False) for e in range(1, v)]
     while stack:
-        x, runs_x, sums_x, n_x, y, runs_y, sums_y, n_y, x_is_a = stack.pop()
-        if n_x == most:
-            continue
-        last, c = runs_x[-1]
+        x, side_x, sums_x, y, side_y, sums_y, n, x_is_a = stack.pop()
+        last, c, before = side_x
+        n += 1
         for e in range(1, min(last, top - x) + 1):
             shifted = sums_x << e
             total = x + e
@@ -207,26 +205,41 @@ def _search(k: int, top: int, most: int):
                 shared ^= 1 << y
             if shared:
                 continue
-            runs = runs_x[:-1] + ((e, c + 1),) if e == last else runs_x + ((e, 1),)
+            side = (e, c + 1, before) if e == last else (e, 1, side_x)
             if total == y:
-                found.setdefault(y, []).append((runs, runs_y) if x_is_a else (runs_y, runs))
+                found.setdefault(y, []).append((n, side, side_y) if x_is_a else (n, side_y, side))
                 continue
             sums = sums_x | shifted
             if total < y:
-                stack.append((total, runs, sums, n_x + 1, y, runs_y, sums_y, n_y, x_is_a))
+                stack.append((total, side, sums, y, side_y, sums_y, n, x_is_a))
             else:
-                stack.append((y, runs_y, sums_y, n_y, total, runs, sums, n_x + 1, not x_is_a))
-    for hits in found.values():
-        # Run tuples order as their multisets do: descending is candidate order.
-        hits.sort(reverse=True)
-    return found, _box_counts(k, top, most)
+                stack.append((y, side_y, sums_y, total, side, sums, n, not x_is_a))
+    return found
+
+
+def _run_tuple(side) -> tuple[tuple[int, int], ...]:
+    """The run tuple of a side carried as linked runs: cells (value,
+    count, the cell before this run), the last cell the smallest value."""
+    runs = []
+    while side is not None:
+        value, count, side = side
+        runs.append((value, count))
+    runs.reverse()
+    return tuple(runs)
+
+
+def _decoded(hits) -> list:
+    """Hits (any, A, B) as (A's run tuple, B's run tuple), in candidate
+    order."""
+    # Run tuples order as their multisets do: descending is candidate order.
+    return sorted(((_run_tuple(a), _run_tuple(b)) for _, a, b in hits), reverse=True)
 
 
 def _scan_sum(found: dict, counts: list[int], total: int):
-    """All irreducible canonical pairs with common sum `total`, as run
-    tuples in candidate order, plus the number of candidate pairs,
-    m(m+1)/2 for the m multisets of sum `total` that the search counts:
-    both read off one survey's search results `(found, counts)`."""
+    """All irreducible canonical pairs with common sum `total`, as the
+    search's unsorted (length, A, B) hits, plus the number of candidate
+    pairs, m(m+1)/2 for the m multisets of sum `total` that the survey
+    counts: both read off one survey's results `(found, counts)`."""
     m = counts[total]
     return found.get(total, []), m * (m + 1) // 2
 
@@ -262,31 +275,25 @@ def check_workers(workers: int) -> None:
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Both modes run one search in this process, which
-    pruned mode bounds to sides of at most k elements, and then read it
-    sum by sum.  The worker count is checked and the search run, to the
-    top sum, when this is called, before any sum is read."""
+    of size at most k.  Both modes run one search in this process and
+    then read it sum by sum; pruned mode counts only candidates of at
+    most k elements.  The worker count is checked and the search run, to
+    the top sum, when this is called, before any sum is read."""
     check_workers(workers)
     k, brute = cfg.k, cfg.mode == "brute"
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
-    found, counts = _search(k, top, top if brute else k)
+    found = _search(k, top)
+    counts = _box_counts(k, top, top if brute else k)
     return map(_scan_task, [(found, counts, S) for S in range(1, top + 1)])
 
 
 def _windowed(cfg: EnumConfig, hits):
-    """The scanned hits whose length lies in the window, if one is set,
-    each as (length, hit).  A hit's length is the run counts of both
-    sides, so no Pair is built to filter it."""
+    """The raw hits whose length lies in the window, if one is set."""
     window = cfg.length_window
-    for hit in hits:
-        runs_a, runs_b = hit
-        length = 0
-        for _, c in runs_a:
-            length += c
-        for _, c in runs_b:
-            length += c
-        if window is None or window[0] <= length <= window[1]:
-            yield length, hit
+    if window is None:
+        return hits
+    lo, hi = window
+    return [hit for hit in hits if lo <= hit[0] <= hi]
 
 
 def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
@@ -299,7 +306,7 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
         Pair(Multiset(runs_a), Multiset(runs_b))
         for hits, _ in _scan_all(cfg, workers)
         if hits
-        for _, (runs_a, runs_b) in _windowed(cfg, hits)
+        for runs_a, runs_b in _decoded(_windowed(cfg, hits))
     )
 
 
@@ -308,32 +315,35 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
 
     The returned report carries the mode and sum cap, so the value is
     always read as "maximum within this scanned range", never as an
-    unqualified claim about all pairs.  Only the witnesses are built as
-    Pairs.
+    unqualified claim about all pairs.  Only the witnesses are decoded
+    and built as Pairs.
     """
     start = time.perf_counter()
     ell = 0
-    witnesses: list[Pair] = []
+    longest: list = []  # (sum, A, B) of each longest hit so far, by sum
     scanned = 0
     irreducible = 0
-    for hits, sc in _scan_all(cfg, workers):
+    for total, (hits, sc) in enumerate(_scan_all(cfg, workers), 1):
         scanned += sc
         if not hits:
             continue
         irreducible += len(hits)
-        for length, (runs_a, runs_b) in _windowed(cfg, hits):
+        for length, a, b in _windowed(cfg, hits):
             if length < ell:
                 continue
-            p = Pair(Multiset(runs_a), Multiset(runs_b))
             if length > ell:
                 ell = length
-                witnesses = [p]
-            else:
-                witnesses.append(p)
+                longest = []
+            longest.append((total, a, b))
+    witnesses = tuple(
+        Pair(Multiset(runs_a), Multiset(runs_b))
+        for _, same_sum in groupby(longest, key=itemgetter(0))
+        for runs_a, runs_b in _decoded(same_sum)
+    )
     return EllReport(
         k=cfg.k,
         ell=ell,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         pairs_scanned=scanned,
         irreducible_count=irreducible,
         mode=cfg.mode,

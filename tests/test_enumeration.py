@@ -98,9 +98,27 @@ def _runs(parts):
     return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
 
 
+def _linked_runs(side):
+    """The run tuple of a side the search carries as linked runs: cells
+    (value, count, the cell before this run), walked back from the last."""
+    runs = ()
+    while side is not None:
+        value, count, side = side
+        runs = ((value, count),) + runs
+    return runs
+
+
+def _candidate_order(hits):
+    """A sum's raw hits (length, A, B) as (A's runs, B's runs), sorted
+    into candidate order."""
+    return sorted(((_linked_runs(a), _linked_runs(b)) for _, a, b in hits), reverse=True)
+
+
 def _stream(k, cap, mode):
-    """A survey's per-sum (hits, candidate pairs), for S = 1..top."""
-    return list(enumeration._scan_all(EnumConfig(k=k, sum_cap=cap, mode=mode), 1))
+    """A survey's per-sum (hits in candidate order, candidate pairs), for
+    S = 1..top."""
+    cfg = EnumConfig(k=k, sum_cap=cap, mode=mode)
+    return [(_candidate_order(hits), sc) for hits, sc in enumeration._scan_all(cfg, 1)]
 
 
 @pytest.mark.parametrize("total", range(1, 13))
@@ -468,27 +486,27 @@ class TestScanKernel:
 
     @pytest.mark.parametrize("k", range(1, enumeration.PRUNED_MAX_K + 1))
     def test_pruned_stream_matches_the_scan_kernel(self, k):
-        # Pruned surveys run the two-sided search with sides bounded to k
-        # elements.  Two references hold it sum by sum: a reverse search
-        # over derivations, which rests on the derivation lemma, and the
-        # same search with no side bound, which uses no theorem, its hits
-        # kept to sides of at most k elements here.
-        stream = list(enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1))
+        # Pruned surveys run the two-sided search to k*k.  Two references
+        # hold it sum by sum: a reverse search over derivations, which
+        # rests on the derivation lemma, and the search's own hits kept
+        # to sides of at most k elements here, which the theorem says
+        # drops none.
+        stream = _stream(k, k * k, "pruned")
         assert len(stream) == k * k
         reverse = _reverse_search(k, k * k)
-        found, _ = enumeration._search(k, k * k, k * k)
+        found = enumeration._search(k, k * k)
         for total, (item, expected) in enumerate(zip(stream, reverse), 1):
             assert item == expected, total
-            unbounded = [
+            bounded = [
                 (runs_a, runs_b)
-                for runs_a, runs_b in found.get(total, [])
+                for runs_a, runs_b in _candidate_order(found.get(total, []))
                 if sum(c for _, c in runs_a) <= k and sum(c for _, c in runs_b) <= k
             ]
-            assert item[0] == unbounded, total
+            assert item[0] == bounded, total
 
     def test_pruned_stream_matches_recorded_digest(self):
         h = hashlib.sha256()
-        for item in enumeration._scan_all(EnumConfig(k=9, mode="pruned"), 1):
+        for item in _stream(9, 81, "pruned"):
             h.update(repr(item).encode())
         assert h.hexdigest() == self._DIGESTS["pruned", 9, 81]
 
@@ -503,7 +521,7 @@ class TestScanKernel:
     @pytest.mark.parametrize("k", list(_PRUNED_DIGESTS))
     def test_pruned_stream_past_k9_matches_recorded_digest(self, k):
         h = hashlib.sha256()
-        for item in enumeration._scan_all(EnumConfig(k=k, mode="pruned"), 1):
+        for item in _stream(k, k * k, "pruned"):
             h.update(repr(item).encode())
         assert h.hexdigest() == self._PRUNED_DIGESTS[k]
 
@@ -548,13 +566,14 @@ class TestScanKernel:
         ids=["1-11280", "2-709", "6-36", "7-65", "pruned-9-81", "pruned-12-144"],
     )
     def test_brute_survey_searches_once_and_scans_each_sum_once(self, monkeypatch, mode, k, cap):
-        # Both modes run one search, bounded to sides of `most` elements:
-        # the cap in brute mode, where it bounds nothing, and k in pruned.
+        # Both modes run one search and one count DP, which bounds the
+        # candidates to `most` elements: the cap in brute mode, where it
+        # bounds nothing, and k in pruned.
         calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts")
         report = compute_ell(EnumConfig(k=k, sum_cap=cap, mode=mode))
         assert report.ell == max(2, 2 * k - 1)
         most = cap if mode == "brute" else k
-        assert calls["_search"] == [(k, cap, most)]
+        assert calls["_search"] == [(k, cap)]
         assert [total for _, _, total in calls["_scan_sum"]] == list(range(1, cap + 1))
         # Every sum reads the one search's results.
         assert len({(id(found), id(counts)) for found, counts, _ in calls["_scan_sum"]}) == 1
@@ -563,9 +582,9 @@ class TestScanKernel:
     @pytest.mark.parametrize(
         "a,b,searches",
         [
-            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7, 65, 65), (6, 36, 36)]),
-            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1, 11280, 11280), (2, 4, 4)]),
-            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9, 81, 9), (8, 64, 8)]),
+            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7, 65), (6, 36)]),
+            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1, 11280), (2, 4)]),
+            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9, 81), (8, 64)]),
         ],
         ids=["brute-7-65-with-6", "brute-1-11280-with-2", "pruned-9-with-8"],
     )
@@ -700,7 +719,7 @@ class TestSurveyBudget:
 
         def recording_scan_all(cfg, workers):
             for total, (hits, sc) in enumerate(scan_all(cfg, workers), 1):
-                for runs_a, runs_b in hits:
+                for runs_a, runs_b in _candidate_order(hits):
                     assert Multiset(runs_a).sigma == Multiset(runs_b).sigma == total
                 scanned.append(total)
                 yield hits, sc
@@ -759,17 +778,30 @@ class TestComputeEll:
 
 class TestWitnessesOnly:
     # compute_ell builds Pairs only for its witnesses, so the engines'
-    # hits are checked here: each builds a valid canonical Pair.
+    # hits are checked here: each builds a valid canonical Pair, of the
+    # length the search stored with it.
     @pytest.mark.parametrize(
         "mode,k", [("brute", k) for k in range(1, 8)] + [("pruned", k) for k in range(1, 11)]
     )
     def test_every_hit_is_a_valid_canonical_pair(self, mode, k):
         cfg = EnumConfig(k=k, mode=mode)
         for hits, _ in enumeration._scan_all(cfg, 1):
-            windowed = list(enumeration._windowed(cfg, hits))
-            assert [hit for _, hit in windowed] == hits
-            for length, (runs_a, runs_b) in windowed:
-                assert Pair(Multiset(runs_a), Multiset(runs_b)).length == length
+            assert enumeration._windowed(cfg, hits) == hits
+            for length, a, b in hits:
+                p = Pair(Multiset(_linked_runs(a)), Multiset(_linked_runs(b)))
+                assert p.length == length
+
+    @pytest.mark.parametrize(
+        "mode,k", [("brute", 6), ("pruned", 9), ("pruned", enumeration.PRUNED_MAX_K)]
+    )
+    @pytest.mark.parametrize("window", [None, "short", "near"])
+    def test_decodes_runs_only_for_its_witnesses(self, monkeypatch, mode, k, window):
+        # Each witness decodes its two sides; no other hit is decoded.
+        window = {None: None, "short": (1, 5), "near": (2 * k - 3, 2 * k - 2)}[window]
+        calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
+        report = compute_ell(EnumConfig(k=k, mode=mode, length_window=window))
+        assert report.witnesses
+        assert len(calls["_run_tuple"]) == 2 * len(report.witnesses)
 
     @pytest.mark.parametrize(
         "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
