@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 
@@ -236,7 +237,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run `main` as a program.  A stdout that takes no more output, a
+    closed pipe or a full device, ends the run with exit 1 and no
+    traceback; a closed pipe, where the reader stopped, says nothing."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as e:
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+        # The interpreter flushes stdout again as it exits; on devnull
+        # what is still buffered goes nowhere and that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

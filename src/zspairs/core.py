@@ -51,9 +51,9 @@ class KTooSmallError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """The requested work is beyond a fixed budget: a survey k above its
-    mode's limit, a brute sum cap above its k's limit, or a check whose
-    next subset-sum fold is too large."""
+    """The requested work is beyond a fixed budget: a survey k above
+    MAX_K, a brute sum cap above MAX_BRUTE_CAP, or a check whose next
+    subset-sum fold is too large."""
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -52,8 +52,9 @@ bounds nothing.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
-Brute mode has a largest sum cap per k, beside the k limits; a larger
-cap fails with ResourceLimitError when the config is made.
+Both modes take k up to MAX_K, and brute mode a sum cap up to
+MAX_BRUTE_CAP; a larger one fails with ResourceLimitError when the
+config is made.
 Every survey runs in the calling process, sum by sum in S order.  The
 worker count is checked but changes nothing: starting a process pool
 (about 10 ms on 2 vCPUs) cost more than it saved on every shipped brute
@@ -73,18 +74,14 @@ from .formats import pair_to_obj
 # Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
 
-BRUTE_MAX_K = 7
-PRUNED_MAX_K = 12
-# The largest brute sum cap for k = 1..BRUTE_MAX_K: the last cap whose
-# candidates, each weighed by the 64-bit words of its mask, stay within
-# 1,000,000 words, a budget kept from when brute mode built them.  A
-# survey at each cap now takes 0.1-0.5 ms for k = 2..7, the most at k=7,
-# and 5 ms at k=1, where one step per sum is the cost, on 2 vCPUs
-# (Python 3.11.7, best of 7, two rounds).
-# Pruned mode runs the same search to sums of k*k and takes any cap; at
-# PRUNED_MAX_K its whole survey took 0.019-0.024 s and peaked at 18 MB on
-# the same host (best of 9 in each of ten rounds).
-_BRUTE_MAX_CAP = (11280, 709, 222, 126, 87, 72, 65)
+# One survey limit for both modes.  The search ends on its own at sum
+# k(k-1) for k >= 2, so a larger cap adds only the count DP, O(k * cap),
+# and one read per sum.  A brute survey at MAX_BRUTE_CAP took 0.08-0.09 s
+# at k=1 and 0.21-0.31 s at k=12, and `enumerate` at k=12 0.30-0.48 s,
+# at most 35 MB peak RSS (2 vCPUs, Python 3.11.7, three rounds of best
+# of 3).  Pruned mode reaches no sum above k*k, so it takes any cap.
+MAX_K = 12
+MAX_BRUTE_CAP = 100_000
 
 _MODES = ("brute", "pruned")
 
@@ -104,17 +101,14 @@ class EnumConfig:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        limit = BRUTE_MAX_K if self.mode == "brute" else PRUNED_MAX_K
-        if self.k > limit:
-            raise ResourceLimitError(
-                f"k={self.k} exceeds the {self.mode}-mode limit of {limit}"
-            )
+        if self.k > MAX_K:
+            raise ResourceLimitError(f"k={self.k} exceeds the survey limit of {MAX_K}")
         if self.sum_cap is None:
             object.__setattr__(self, "sum_cap", self.k * self.k)
-        if self.mode == "brute" and self.sum_cap > _BRUTE_MAX_CAP[self.k - 1]:
+        if self.mode == "brute" and self.sum_cap > MAX_BRUTE_CAP:
             raise ResourceLimitError(
-                f"sum cap {self.sum_cap} is too large for k={self.k} in brute "
-                f"mode; the largest supported cap is {_BRUTE_MAX_CAP[self.k - 1]}"
+                f"sum cap {self.sum_cap} is too large for brute mode; "
+                f"the largest supported cap is {MAX_BRUTE_CAP}"
             )
         if self.sum_cap < 1:
             raise ValueError(f"sum_cap must be positive, got {self.sum_cap}")

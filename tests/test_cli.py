@@ -208,12 +208,10 @@ class TestEll:
         assert json.loads(out)["ell"] == 2 and code == 0
 
     def test_resource_limit(self, capsys):
-        code, _, err = run(capsys, "ell", "8", "--mode", "brute", "--no-cache")
-        assert code == 1
-        assert err == "error: k=8 exceeds the brute-mode limit of 7\n"
-        code, _, err = run(capsys, "ell", "13", "--mode", "pruned", "--no-cache")
-        assert code == 1
-        assert err == "error: k=13 exceeds the pruned-mode limit of 12\n"
+        for mode in ("brute", "pruned"):
+            code, _, err = run(capsys, "ell", "13", "--mode", mode, "--no-cache")
+            assert code == 1
+            assert err == "error: k=13 exceeds the survey limit of 12\n"
 
     def test_cache_round_trip(self, capsys, isolated_cache):
         code1, out1, err1 = run(capsys, "ell", "3")
@@ -325,20 +323,25 @@ class TestEll:
 
     def test_sum_cap_over_budget_fails_fast(self, capsys):
         start = time.perf_counter()
-        code, out, err = run(capsys, "ell", "6", "--sum-cap", "100", "--no-cache")
+        code, out, err = run(capsys, "ell", "6", "--sum-cap", "100001", "--no-cache")
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: sum cap 100 is too large for k=6")
+        assert lines[0].startswith("error: sum cap 100001 is too large for brute mode")
 
     @pytest.mark.parametrize("command", ["enumerate", "extremal"])
     def test_sum_cap_over_budget_prints_no_header(self, capsys, command):
-        code, out, err = run(capsys, command, "6", "--sum-cap", "100", "--format", "csv")
+        code, out, err = run(capsys, command, "6", "--sum-cap", "100001", "--format", "csv")
         assert code == 1
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: sum cap 100")
+        assert len(err.splitlines()) == 1 and err.startswith("error: sum cap 100001 ")
+
+    def test_brute_cap_past_k_squared_runs(self, capsys):
+        code, out, _ = run(capsys, "ell", "6", "--sum-cap", "100", "--no-cache")
+        assert code == 0
+        assert json.loads(out)["ell"] == 11
 
     def test_no_cache_skips_write(self, capsys, isolated_cache):
         _, _, err = run(capsys, "ell", "2", "--no-cache")
@@ -499,6 +502,51 @@ def test_survey_stdout_matches_pinned_digest(capsys, mode, k):
     code, out, _ = run(capsys, "enumerate", str(k), "--mode", mode, "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == csv_digest
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_brute_csv_matches_the_pinned_pruned_csv(capsys, k):
+    # Brute mode, which uses no theorem, agrees byte for byte with
+    # pruned mode over the rest of the pruned range.
+    code, out, _ = run(capsys, "enumerate", str(k), "--mode", "brute", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT["pruned", k][1]
+
+
+def _cli(*argv, **kwargs):
+    """Start `python -m zspairs.cli ARGV` from the source tree, its stdout
+    buffered as by default, so output is still pending at exit."""
+    src = Path(zspairs.__file__).resolve().parents[1]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "zspairs.cli", *argv],
+        env={**env, "PYTHONPATH": str(src)},
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # 9,297 lines, more than a pipe buffer holds, so writes go on after
+    # the reader has gone.
+    with _cli("enumerate", "12", "--mode", "pruned", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == "1 | 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_device_exits_without_traceback():
+    with open("/dev/full", "w") as full, _cli(
+        "ell", "12", "--mode", "pruned", "--no-cache", stdout=full
+    ) as proc:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines()[-1] == "error: cannot write output: [Errno 28] No space left on device"
 
 
 _POOL_MODULES = """

@@ -288,8 +288,9 @@ class TestEnumConfig:
         assert EnumConfig(k=3).sum_cap == 9
 
     def test_brute_limit(self):
-        with pytest.raises(ResourceLimitError):
-            EnumConfig(k=8, mode="brute")
+        EnumConfig(k=12, mode="brute")
+        with pytest.raises(ResourceLimitError, match="^k=13 exceeds the survey limit of 12$"):
+            EnumConfig(k=13, mode="brute")
 
     def test_one_resource_limit_class(self):
         # The check's fold budget raises the same class, from core.
@@ -299,7 +300,7 @@ class TestEnumConfig:
 
     def test_pruned_limit(self):
         EnumConfig(k=12, mode="pruned")
-        with pytest.raises(ResourceLimitError, match="pruned-mode limit of 12"):
+        with pytest.raises(ResourceLimitError, match="^k=13 exceeds the survey limit of 12$"):
             EnumConfig(k=13, mode="pruned")
 
     def test_bad_values(self):
@@ -361,7 +362,7 @@ class TestEnumerateIrreducible:
         ]
         assert brute == pruned
 
-    @pytest.mark.parametrize("k", [5, 7])
+    @pytest.mark.parametrize("k", [5, 7, 8, 9, 10, 11, 12])
     def test_brute_and_pruned_streams_identical_beside_k6(self, k):
         brute = [pair_to_json(p) for p in enumerate_irreducible(EnumConfig(k=k))]
         pruned = [
@@ -370,13 +371,18 @@ class TestEnumerateIrreducible:
         ]
         assert brute == pruned
 
-    @pytest.mark.parametrize("k,cap", [(4, 24), (5, 40)])
+    @pytest.mark.parametrize(
+        "k,cap", [(4, 24), (5, 40)] + [(k, 2 * k * k) for k in range(2, enumeration.MAX_K + 1)]
+    )
     def test_no_irreducible_pair_above_k_squared(self, k, cap):
         # The default cap k*k rests on |A| <= max B and |B| <= max A;
-        # brute mode past it must find nothing new.
-        sums = [p.a.sigma for p in enumerate_irreducible(EnumConfig(k=k, sum_cap=cap))]
-        assert sums
-        assert max(sums) <= k * k
+        # brute mode, which uses no theorem, finds no pair past k(k-1),
+        # and only k^(k-1) | (k-1)^k as long as 2k-1.
+        cfg = EnumConfig(k=k, sum_cap=cap)
+        assert max(p.a.sigma for p in enumerate_irreducible(cfg)) == k * (k - 1)
+        report = compute_ell(cfg)
+        assert report.ell == 2 * k - 1
+        assert report.witnesses == (pair((k,) * (k - 1), (k - 1,) * k),)
 
     def test_worker_count_does_not_change_output(self):
         cfg = EnumConfig(k=4, sum_cap=16)
@@ -484,7 +490,7 @@ class TestScanKernel:
             h.update(repr(item).encode())
         assert h.hexdigest() == self._DIGESTS[mode, k, cap]
 
-    @pytest.mark.parametrize("k", range(1, enumeration.PRUNED_MAX_K + 1))
+    @pytest.mark.parametrize("k", range(1, enumeration.MAX_K + 1))
     def test_pruned_stream_matches_the_scan_kernel(self, k):
         # Pruned surveys run the two-sided search to k*k.  Two references
         # hold it sum by sum: a reverse search over derivations, which
@@ -666,50 +672,20 @@ class TestWorkerCount:
 
 
 class TestSurveyBudget:
-    def test_brute_caps_are_the_last_within_a_million_mask_words(self):
-        # Each candidate of sum S weighs the 64-bit words of its S-bit mask.
-        assert len(enumeration._BRUTE_MAX_CAP) == enumeration.BRUTE_MAX_K
-        for k in range(1, enumeration.BRUTE_MAX_K + 1):
-            words = 0
-            top = max(enumeration._BRUTE_MAX_CAP) + 1
-            counts = enumeration._box_counts(k, top, top)
-            for first_over in itertools.count(1):
-                m = counts[first_over]
-                words += m * (first_over // 64 + 1)
-                if words > 1_000_000:
-                    break
-            cap = first_over - 1
-            assert enumeration._BRUTE_MAX_CAP[k - 1] == cap, k
-            EnumConfig(k=k, sum_cap=cap)
-            prefix = f"sum cap {cap + 1} is too large for k={k} in brute mode"
-            with pytest.raises(ResourceLimitError, match=prefix):
-                EnumConfig(k=k, sum_cap=cap + 1)
-        # Pruned mode scans no sum above k*k, so it takes any cap.
-        for k in range(1, enumeration.PRUNED_MAX_K + 1):
-            EnumConfig(k=k, sum_cap=10**9, mode="pruned")
+    @pytest.mark.parametrize("k,ell", [(1, 2), (enumeration.MAX_K, 2 * enumeration.MAX_K - 1)])
+    def test_brute_cap_at_the_bound_runs(self, k, ell):
+        cap = enumeration.MAX_BRUTE_CAP
+        assert cap == 100_000
+        report = compute_ell(EnumConfig(k=k, sum_cap=cap))
+        assert (report.ell, report.sum_cap) == (ell, cap)
 
-    @pytest.mark.parametrize(
-        "mode,k,budget", [("brute", 1, 2000), ("brute", 3, 5000), ("brute", 6, 5000)]
-    )
-    def test_refused_from_the_first_sum_over_budget(self, monkeypatch, mode, k, budget):
-        # A cap worked out from a smaller word budget, with the words
-        # counted from the generator itself, holds from the first sum over
-        # it; the count DP must agree with the generator's.
-        words = 0
-        for first_over in itertools.count(1):
-            m = sum(1 for _ in enumerate_multisets(k, first_over))
-            assert enumeration._box_counts(k, first_over, first_over)[first_over] == m
-            words += m * (first_over // 64 + 1)
-            if words > budget:
-                break
-        cap = first_over - 1
-        caps = list(enumeration._BRUTE_MAX_CAP)
-        caps[k - 1] = cap
-        monkeypatch.setattr(enumeration, "_BRUTE_MAX_CAP", tuple(caps))
-        list(enumeration._scan_all(EnumConfig(k=k, sum_cap=cap, mode=mode), 1))
-        refusal = f"sum cap {first_over} is too large .* largest supported cap is {cap}$"
+    @pytest.mark.parametrize("k", [1, enumeration.MAX_K])
+    def test_brute_cap_past_the_bound_is_refused(self, k):
+        refusal = "^sum cap 100001 is too large for brute mode; the largest supported cap is 100000$"
         with pytest.raises(ResourceLimitError, match=refusal):
-            EnumConfig(k=k, sum_cap=first_over, mode=mode)
+            EnumConfig(k=k, sum_cap=enumeration.MAX_BRUTE_CAP + 1)
+        # Pruned mode scans no sum above k*k, so it takes any cap.
+        EnumConfig(k=k, sum_cap=10**9, mode="pruned")
 
     def test_pruned_sums_above_k_squared_are_not_scanned(self, monkeypatch):
         # The survey yields one result per sum, in S order, and each hit's
@@ -732,7 +708,7 @@ class TestSurveyBudget:
         assert report.witnesses == full.witnesses
 
     @pytest.mark.parametrize(
-        "mode,k", [("brute", k) for k in range(1, 8)] + [("pruned", k) for k in range(1, 10)]
+        "mode,k", [("brute", k) for k in range(1, 13)] + [("pruned", k) for k in range(1, 10)]
     )
     def test_default_caps_are_in_budget(self, mode, k):
         enumeration._scan_all(EnumConfig(k=k, mode=mode), 1)
@@ -792,7 +768,7 @@ class TestWitnessesOnly:
                 assert p.length == length
 
     @pytest.mark.parametrize(
-        "mode,k", [("brute", 6), ("pruned", 9), ("pruned", enumeration.PRUNED_MAX_K)]
+        "mode,k", [("brute", 6), ("pruned", 9), ("pruned", enumeration.MAX_K)]
     )
     @pytest.mark.parametrize("window", [None, "short", "near"])
     def test_decodes_runs_only_for_its_witnesses(self, monkeypatch, mode, k, window):
@@ -868,14 +844,20 @@ class TestBoxCounts:
                 expected = (counts + [0] * 3)[: top + 1]
                 assert enumeration._box_counts(k, top, k) == expected, (k, top)
 
-    @pytest.mark.parametrize("k", range(1, enumeration.BRUTE_MAX_K + 1))
+    @pytest.mark.parametrize("k", range(1, enumeration.MAX_K + 1))
     def test_unbounded_length_counts_equal_naive_counts(self, k):
         # Brute m: partitions with parts of size at most k, any number of
         # them; a length bound of at least the sum bounds nothing.
-        top = min(enumeration._BRUTE_MAX_CAP[k - 1], 300)
+        top = 300
         counts = enumeration._box_counts(k, top, top)
         assert counts == [_naive_count(total, top, k) for total in range(top + 1)]
         assert enumeration._box_counts(k, top, 10 * top) == counts
+
+    @pytest.mark.parametrize("k,top", [(1, 500), (3, 60), (6, 30)])
+    def test_unbounded_length_counts_equal_the_generator_counts(self, k, top):
+        counts = enumeration._box_counts(k, top, top)
+        for total in range(1, top + 1):
+            assert counts[total] == sum(1 for _ in enumerate_multisets(k, total)), total
 
 
 class TestExtremalPairs:
