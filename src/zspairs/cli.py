@@ -166,8 +166,20 @@ def _add_survey_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sum-cap", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and version text that cannot be written fail the run: argparse
+    drops an OSError from any message.  Messages to stderr keep that, so
+    a usage error still exits 2."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zspairs",
         description="Irreducible zero-sum multiset pairs: check, derive, survey.",
     )

@@ -98,10 +98,9 @@ def derive(p: Pair, a: int, b: int) -> Pair:
         raise NoSuchElementError(f"no copy of {b} in the second multiset")
     if a == b:
         raise EqualValuesError(f"cannot derive with equal values {a}")
+    # A canonical pair with |A| = 1 has every b <= a, so only B can empty.
     if a > b and p.b.cardinality == 1:
         raise TooSmallError("derivation would empty the second multiset")
-    if a < b and p.a.cardinality == 1:
-        raise TooSmallError("derivation would empty the first multiset")
     return _apply(p, ((a, b, 1),))
 
 

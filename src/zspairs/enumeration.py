@@ -8,7 +8,7 @@ assumed; it is the oracle pruned mode is validated against on
 overlapping ranges.
 
 Neither mode builds candidates: one search grows both sides of a pair
-at once, from a stack, for every sum up to a top in one pass.  A pair is
+at once, from a stack, for every sum in one pass.  A pair is
 irreducible iff the interior subset sums of its sides, those in 1..S-1,
 are disjoint.  Each side gains elements in descending order, and the
 side with the smaller partial sum is the one extended.  A pair of
@@ -33,28 +33,26 @@ tuples are built only where hits are read: `enumerate_irreducible`
 decodes and sorts each sum's hits in the length window, and
 `compute_ell` decodes only its witnesses.
 
-The mode enters the search as one number, the top sum.  Brute mode
-searches to the cap and uses nothing but the definition, so it stays
-theorem-free.  Pruned mode searches to min(cap, k*k), the largest sum of
-a multiset of at most k parts, and counts only such multisets as its
-candidates.  It rests on the theorem that each side's cardinality is at
-most the other side's maximum: no irreducible pair lies past those
-bounds, so every hit it reports is one of the candidates it counts.
-Pruned mode still reports m(m+1)/2 candidate pairs for the m same-sum
-multisets of at most k parts that it never builds.
+Neither mode nor cap reaches the search, which takes k alone; a survey
+reads sums off it.  Brute mode reads sums up to the cap and uses nothing
+but the definition, so it stays theorem-free.  Pruned mode reads sums up
+to min(cap, k*k), the largest sum of a multiset of at most k parts, and
+counts only such multisets as its candidates.  It rests on the theorem
+that each side's cardinality is at most the other side's maximum: no
+irreducible pair lies past those bounds, so every hit it reports is one
+of the candidates it counts.
 
-Neither mode lists the candidates it counts.  The m multisets of sum S
-with values <= k, and with at most L elements (L = k in pruned mode, the
-top in brute mode), are the coefficient of q^S in the product of
-(1 - q^(L+i)) / (1 - q^i) for i = 1..k: in pruned mode the Gaussian
-binomial [2k, k]_q, and in brute mode a product whose length bound
-bounds nothing.
+Neither mode lists the candidates it counts: m(m+1)/2 pairs of the m
+multisets of sum S with values <= k and at most L elements (L = k in
+pruned mode, the cap in brute mode), m being the coefficient of q^S in
+the product of (1 - q^(L+i)) / (1 - q^i) for i = 1..k: in pruned mode
+the Gaussian binomial [2k, k]_q, and in brute mode a product whose
+length bound bounds nothing.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
-Both modes take k up to MAX_K, and brute mode a sum cap up to
-MAX_BRUTE_CAP; a larger one fails with ResourceLimitError when the
-config is made.
+Both modes take k up to MAX_K, and brute mode a cap up to MAX_BRUTE_CAP;
+past either, making the config raises ResourceLimitError.
 Every survey runs in the calling process, sum by sum in S order.  The
 worker count is checked but changes nothing: starting a process pool
 (about 10 ms on 2 vCPUs) cost more than it saved on every shipped brute
@@ -75,11 +73,13 @@ from .formats import pair_to_obj
 from .irreducibility import _fold_run
 
 # One survey limit for both modes.  The search ends on its own at sum
-# k(k-1) for k >= 2, so a larger cap adds only the count DP, O(k * cap),
-# and one read per sum.  A brute survey at MAX_BRUTE_CAP took 0.08-0.09 s
-# at k=1 and 0.21-0.31 s at k=12, and `enumerate` at k=12 0.30-0.48 s,
-# at most 35 MB peak RSS (2 vCPUs, Python 3.11.7, three rounds of best
-# of 3).  Pruned mode reaches no sum above k*k, so it takes any cap.
+# k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
+# 20-38 ms and 17 MB peak RSS, even at cap 1), and a larger cap adds only
+# the count DP, O(k * cap), and one read per sum.  A brute survey at
+# MAX_BRUTE_CAP took 0.08-0.09 s at k=1 and 0.21-0.31 s at k=12, and
+# `enumerate` at k=12 0.30-0.48 s, at most 35 MB peak RSS (2 vCPUs,
+# Python 3.11.7, three rounds of best of 3).  Pruned mode reads no sum
+# above k*k, so it takes any cap.
 MAX_K = 12
 MAX_BRUTE_CAP = 100_000
 
@@ -170,10 +170,11 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
     yield runs + ((1, remaining),)
 
 
-def _search(k: int, top: int) -> dict[int, list]:
-    """Every irreducible canonical pair with values in [1, k] and a sum of
-    at most `top`: a dict from each sum to its hits, unsorted, each as
-    (length, A, B) with both sides as linked runs (see `_run_tuple`).
+def _search(k: int) -> dict[int, list]:
+    """Every irreducible canonical pair with values in [1, k]: a dict from
+    each sum to its hits, unsorted, each as (length, A, B) with both
+    sides as linked runs (see `_run_tuple`).  The stack empties by itself
+    (at sum k(k-1) for k >= 2), so no pair at any sum is missed.
 
     A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, the
     pair's length, X is A) for the lighter side X of sum x < y, which
@@ -182,7 +183,7 @@ def _search(k: int, top: int) -> dict[int, list]:
     shifted by e can meet Y's."""
     found: dict[int, list] = {}
     stack = []
-    for v in range(1, min(k, top) + 1):
+    for v in range(1, k + 1):
         side = (v, 1, None)
         found[v] = [(2, side, side)]
         stack += [(e, (e, 1, None), 1 | 1 << e, v, side, 1 | 1 << v, 2, False) for e in range(1, v)]
@@ -190,7 +191,7 @@ def _search(k: int, top: int) -> dict[int, list]:
         x, side_x, sums_x, y, side_y, sums_y, n, x_is_a = stack.pop()
         last, c, before = side_x
         n += 1
-        for e in range(1, min(last, top - x) + 1):
+        for e in range(1, last + 1):
             shifted = sums_x << e
             total = x + e
             shared = shifted & sums_y
@@ -269,14 +270,14 @@ def check_workers(workers: int) -> None:
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Both modes run one search in this process and
-    then read it sum by sum; pruned mode counts only candidates of at
-    most k elements.  The worker count is checked and the search run, to
-    the top sum, when this is called, before any sum is read."""
+    of size at most k.  Both modes read one search of k alone, run in
+    this process, sum by sum; pruned mode counts only candidates of at
+    most k elements.  The worker count is checked and the search run
+    when this is called, before any sum is read."""
     check_workers(workers)
     k, brute = cfg.k, cfg.mode == "brute"
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
-    found = _search(k, top)
+    found = _search(k)
     counts = _box_counts(k, top, top if brute else k)
     return map(_scan_task, [(found, counts, S) for S in range(1, top + 1)])
 

@@ -12,8 +12,8 @@ submultisets outright.
 The fast engine is a bounded-knapsack bit-vector: achievable sums are the
 set bits of a Python int, and each run (v, c) is folded in with
 binary-split shift-ors, giving word-parallel exact arithmetic.  A fold
-may be truncated to a width W: it then holds exactly the achievable sums
-below W, and takes of a value that would reach W are never shifted in.
+is truncated to a width W: it holds exactly the achievable sums below W,
+and takes of a value that would reach W are never shifted in.
 
 A balanced pair is first divided by the gcd g of all its values.  Every
 submultiset sum scales by 1/g, so the verdict is unchanged and the
@@ -58,10 +58,9 @@ class TooLargeError(ValueError):
     """The naive oracle refuses pairs beyond its exponential-work guard."""
 
 
-def _fold_run(bits: int, value: int, count: int, width: int | None = None) -> int:
-    # With a width, only takes whose sum stays below it can matter.
-    if width is not None:
-        count = min(count, (width - 1) // value)
+def _fold_run(bits: int, value: int, count: int, width: int) -> int:
+    # Only takes whose sum stays below the width can matter.
+    count = min(count, (width - 1) // value)
     # Binary splitting: chunks 1, 2, 4, ... cover every take in [0, count].
     chunk = 1
     while count > 0:
@@ -69,10 +68,10 @@ def _fold_run(bits: int, value: int, count: int, width: int | None = None) -> in
         bits |= bits << (value * take)
         count -= take
         chunk <<= 1
-    return bits if width is None else bits & ((1 << width) - 1)
+    return bits & ((1 << width) - 1)
 
 
-def _subset_sums(ms: Multiset, width: int | None = None) -> int:
+def _subset_sums(ms: Multiset, width: int) -> int:
     bits = 1
     for value, count in ms.runs:
         bits = _fold_run(bits, value, count, width)

@@ -513,11 +513,14 @@ def test_brute_csv_matches_the_pinned_pruned_csv(capsys, k):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT["pruned", k][1]
 
 
-def _cli(*argv, **kwargs):
+def _cli(*argv, unbuffered=False, **kwargs):
     """Start `python -m zspairs.cli ARGV` from the source tree, its stdout
-    buffered as by default, so output is still pending at exit."""
+    buffered as by default, so output is still pending at exit, or
+    unbuffered, so each write reaches the device at once."""
     src = Path(zspairs.__file__).resolve().parents[1]
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "zspairs.cli", *argv],
         env={**env, "PYTHONPATH": str(src)},
@@ -547,6 +550,35 @@ def test_full_stdout_device_exits_without_traceback():
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.splitlines()[-1] == "error: cannot write output: [Errno 28] No space left on device"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("--version",), ("--help",), ("ell", "--help")], ids=["version", "help", "ell-help"]
+)
+def test_help_and_version_on_a_full_stdout_exit_1(argv, unbuffered):
+    # argparse drops an OSError from its own writes, so an unbuffered
+    # stdout once lost this text and still exited 0.
+    with open("/dev/full", "w") as full, _cli(*argv, unbuffered=unbuffered, stdout=full) as proc:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_usage_error_on_a_full_stderr_exits_2():
+    # Only writes to stdout fail loudly: a usage message argparse cannot
+    # write to stderr still ends in the usage exit code.
+    src = Path(zspairs.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zspairs.cli", "ell", "x"],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"},
+            stdout=subprocess.DEVNULL,
+            stderr=full,
+        )
+    assert proc.returncode == 2
 
 
 _POOL_MODULES = """

@@ -65,6 +65,22 @@ class TestNormalize:
             Multiset(((7, 3), (7, 1)))  # duplicate run
 
 
+@pytest.mark.parametrize(
+    "runs,error,message",
+    [
+        ((), EmptyError, "multiset has no elements"),
+        (((0, 1),), NonPositiveValueError, "value 0 must be positive"),
+        (((2, 0),), NonPositiveCountError, "count 0 must be positive"),
+    ],
+    ids=["empty", "zero-value", "zero-count"],
+)
+def test_direct_construction_errors(runs, error, message):
+    with pytest.raises(error) as info:
+        Multiset(runs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestMeasures:
     @pytest.mark.parametrize(
         "elements,expected",

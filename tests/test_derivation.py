@@ -11,6 +11,7 @@ from zspairs import (
     EmptyResultError,
     EnumConfig,
     EqualValuesError,
+    Multiset,
     InfeasiblePlanError,
     NoSplitError,
     NoSuchElementError,
@@ -20,6 +21,7 @@ from zspairs import (
     derive_chain,
     derive_product,
     enumerate_irreducible,
+    enumerate_multisets,
     is_irreducible,
     normalize,
     pair_canonical,
@@ -92,6 +94,27 @@ class TestDerive:
     def test_length_two_rejected(self):
         with pytest.raises(TooSmallError):
             derive(pair((1,), (1,)), 1, 1)
+
+    def test_missing_second_value_rejected(self):
+        with pytest.raises(NoSuchElementError) as info:
+            derive(parse_pair("7^3 1^2 | 6^3 5"), 7, 4)
+        assert str(info.value) == "no copy of 4 in the second multiset"
+
+    def test_a_single_element_first_side_never_empties(self):
+        # A canonical pair with |A| = 1 has every b < a, so a step takes
+        # a - b back to A: over values <= 7 and B of sum <= 14, every
+        # step of every such pair longer than 2 succeeds.
+        tried = 0
+        for v in range(1, 8):
+            for total in range(1, 15):
+                for side_b in enumerate_multisets(7, total):
+                    p = pair_canonical(Multiset(((v, 1),)), side_b)
+                    if p.a.cardinality != 1 or p.length <= 2:
+                        continue
+                    for b in p.b.values():
+                        assert derive(p, v, b).length == p.length - 1
+                        tried += 1
+        assert tried > 0
 
     def test_emptying_a_side_rejected(self):
         # Unbalanced pairs are allowed in, but not ones a step would gut.
@@ -193,6 +216,21 @@ class TestDeriveProduct:
     def test_plan_of_merges_duplicates(self):
         plan = DerivationPlan.of([(7, 6, 1), (7, 6, 1), (7, 5, 0)])
         assert plan.steps == ((7, 6, 2),)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: DerivationPlan(((0, 1, 1),)), "plan values must be positive, got (0,1)"),
+            (lambda: DerivationPlan(((2, 1, 0),)), "plan counts must be positive, got 0"),
+            (lambda: DerivationPlan.of([(2, 1, -1)]), "plan counts must be non-negative, got -1"),
+        ],
+        ids=["zero-value", "zero-count", "negative-count"],
+    )
+    def test_bad_plans_rejected(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
     def test_duplicate_keys_rejected_in_raw_constructor(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,15 @@ class TestEnumerateMultisets:
         # round((t + 3)**2 / 12) partitions of t into parts of at most 3.
         assert sum(1 for _ in enumerate_multisets(3, 60)) == 331
 
+    @pytest.mark.parametrize(
+        "k,total,message",
+        [(0, 3, "k must be positive, got 0"), (3, 0, "total must be positive, got 0")],
+    )
+    def test_rejects_non_positive_arguments(self, k, total, message):
+        with pytest.raises(ValueError) as info:
+            next(enumerate_multisets(k, total))
+        assert str(info.value) == message
+
     def test_matches_the_dag_walk(self):
         for k in range(1, 7):
             for total in range(1, 16):
@@ -500,7 +509,7 @@ class TestScanKernel:
         stream = _stream(k, k * k, "pruned")
         assert len(stream) == k * k
         reverse = _reverse_search(k, k * k)
-        found = enumeration._search(k, k * k)
+        found = enumeration._search(k)
         for total, (item, expected) in enumerate(zip(stream, reverse), 1):
             assert item == expected, total
             bounded = [
@@ -509,6 +518,43 @@ class TestScanKernel:
                 if sum(c for _, c in runs_a) <= k and sum(c for _, c in runs_b) <= k
             ]
             assert item[0] == bounded, total
+
+    # Hits of the search for k = 1..12, at every sum.
+    _SEARCH_HITS = (1, 3, 8, 19, 52, 108, 283, 586, 1270, 2475, 5373, 9297)
+
+    @pytest.mark.parametrize("k", range(1, enumeration.MAX_K + 1))
+    def test_search_ends_by_itself(self, k):
+        # The search takes no bound but k, so it finds every irreducible
+        # pair over [1, k]: none past sum k(k-1), and for k >= 2 only
+        # k^(k-1) | (k-1)^k as long as 2k-1, with no theorem used.
+        found = enumeration._search(k)
+        assert sum(len(hits) for hits in found.values()) == self._SEARCH_HITS[k - 1]
+        if k == 1:
+            assert list(found) == [1]
+            return
+        assert max(found) == k * (k - 1)
+        longest = max(length for hits in found.values() for length, _, _ in hits)
+        assert longest == 2 * k - 1
+        assert [
+            (total, runs)
+            for total, hits in found.items()
+            for runs in _candidate_order(hits)
+            if sum(c for _, c in runs[0] + runs[1]) == longest
+        ] == [(k * (k - 1), (((k, k - 1),), ((k - 1, k),)))]
+
+    @pytest.mark.parametrize(
+        "k,cap",
+        [(k, cap) for k in range(2, 9) for cap in sorted({1, k, 2 * k, k * (k - 1) - 1})]
+        + [(12, 1), (12, 12), (12, 40)],
+    )
+    @pytest.mark.parametrize("mode", ["brute", "pruned"])
+    def test_small_cap_stream_is_the_default_stream_cut(self, mode, k, cap):
+        # A cap below k(k-1) no longer shortens the search; it only cuts
+        # the sums read, so the stream is the default-cap stream's head.
+        stream = _stream(k, cap, mode)
+        assert stream == _stream(k, k * k, mode)[:cap]
+        if mode == "pruned":
+            assert stream == list(_reverse_search(k, cap))
 
     def test_pruned_stream_matches_recorded_digest(self):
         h = hashlib.sha256()
@@ -572,14 +618,14 @@ class TestScanKernel:
         ids=["1-11280", "2-709", "6-36", "7-65", "pruned-9-81", "pruned-12-144"],
     )
     def test_brute_survey_searches_once_and_scans_each_sum_once(self, monkeypatch, mode, k, cap):
-        # Both modes run one search and one count DP, which bounds the
-        # candidates to `most` elements: the cap in brute mode, where it
-        # bounds nothing, and k in pruned.
+        # Both modes run one search, which takes k alone, and one count
+        # DP, which bounds the candidates to `most` elements: the cap in
+        # brute mode, where it bounds nothing, and k in pruned.
         calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts")
         report = compute_ell(EnumConfig(k=k, sum_cap=cap, mode=mode))
         assert report.ell == max(2, 2 * k - 1)
         most = cap if mode == "brute" else k
-        assert calls["_search"] == [(k, cap)]
+        assert calls["_search"] == [(k,)]
         assert [total for _, _, total in calls["_scan_sum"]] == list(range(1, cap + 1))
         # Every sum reads the one search's results.
         assert len({(id(found), id(counts)) for found, counts, _ in calls["_scan_sum"]}) == 1
@@ -588,15 +634,15 @@ class TestScanKernel:
     @pytest.mark.parametrize(
         "a,b,searches",
         [
-            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7, 65), (6, 36)]),
-            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1, 11280), (2, 4)]),
-            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9, 81), (8, 64)]),
+            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7,), (6,)]),
+            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1,), (2,)]),
+            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9,), (8,)]),
         ],
         ids=["brute-7-65-with-6", "brute-1-11280-with-2", "pruned-9-with-8"],
     )
     def test_interleaved_surveys_each_search_once(self, monkeypatch, a, b, searches):
         # Two surveys read side by side share nothing: each stream is its
-        # solo run, and each survey searches once, within its own config.
+        # solo run, and each survey searches once, for its own k.
         solo_a = list(enumerate_irreducible(a))
         solo_b = list(enumerate_irreducible(b))
         calls = self._counting(monkeypatch, "_search")

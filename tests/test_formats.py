@@ -106,6 +106,26 @@ def test_parse_chain():
         parse_plan("7,6^2;;7,5")
 
 
+@pytest.mark.parametrize(
+    "parse,text,column,message",
+    [
+        (parse_plan, "0,2", 0, "plan values must be positive"),
+        (parse_plan, "5,2^0", 0, "count must be positive, got 0"),
+        (parse_plan, "5,2;5,x", 4, "expected a,b or a,b^count, got '5,x'"),
+        (parse_chain, "5,2;;3,2", 4, "empty chain step"),
+        (parse_chain, "5,2;0,1", 4, "chain values must be positive"),
+        (parse_pair, "| 5", 0, "expected a multiset, got nothing"),
+    ],
+    ids=["plan-zero-value", "plan-zero-count", "plan-bad-step", "chain-empty-step",
+         "chain-zero-value", "pair-empty-side"],
+)
+def test_plan_chain_and_pair_errors(parse, text, column, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.position == column
+    assert str(exc.value) == f"at column {column}: {message}"
+
+
 @given(multisets)
 def test_text_round_trip_multiset(m):
     assert parse_multiset(format_multiset(m)) == m

@@ -43,6 +43,11 @@ def subset_sums_by_force(elements):
     return out
 
 
+def full_sums(m):
+    """The package's fold of m at the full width, sigma + 1."""
+    return _subset_sums(m, m.sigma + 1)
+
+
 def sum_set(bits):
     return {s for s in range(bits.bit_length()) if bits >> s & 1}
 
@@ -51,27 +56,27 @@ class TestProperSubsetSums:
     """The package's full-width fold, and the tests' reference fold."""
 
     def test_two_equal_elements(self):
-        assert sum_set(_subset_sums(ms(5, 5))) == {0, 5, 10}
+        assert sum_set(full_sums(ms(5, 5))) == {0, 5, 10}
 
     def test_multiples(self):
-        assert sum_set(_subset_sums(ms(2, 2, 2, 2, 2))) == {0, 2, 4, 6, 8, 10}
+        assert sum_set(full_sums(ms(2, 2, 2, 2, 2))) == {0, 2, 4, 6, 8, 10}
 
     def test_against_brute_force(self):
         # Frozen from the 2^4 enumeration of {6,6,6,5}.
         assert subset_sums_by_force([6, 6, 6, 5]) == {0, 5, 6, 11, 12, 17, 18, 23}
-        assert sum_set(_subset_sums(ms(6, 6, 6, 5))) == {
+        assert sum_set(full_sums(ms(6, 6, 6, 5))) == {
             0, 5, 6, 11, 12, 17, 18, 23,
         }
 
     @given(multisets)
     def test_matches_oracle(self, m):
         sums = subset_sums_by_force(list(m.elements()))
-        assert sum_set(_subset_sums(m)) == sums
+        assert sum_set(full_sums(m)) == sums
         assert sum_set(subset_sums_reference(m)) == sums
 
     @given(multisets)
     def test_boundary_bits(self, m):
-        bits = _subset_sums(m)
+        bits = full_sums(m)
         assert bits & 1 and bits.bit_length() == m.sigma + 1
 
     def test_complement_symmetry_bulk(self):
@@ -82,7 +87,7 @@ class TestProperSubsetSums:
                 for _ in range(rng.randint(1, 4))
             ]
             m = normalize(runs)
-            forward = f"{_subset_sums(m):0{m.sigma + 1}b}"
+            forward = f"{full_sums(m):0{m.sigma + 1}b}"
             assert forward == forward[::-1]
 
 
@@ -112,6 +117,9 @@ class TestNaiveOracle:
 
     def test_smallest_pair(self):
         assert is_irreducible_naive(pair((1,), (1,)))
+
+    def test_unbalanced_pair(self):
+        assert is_irreducible_naive(parse_pair("3 | 2")) is False
 
     def test_guard(self):
         with pytest.raises(TooLargeError):
@@ -190,6 +198,7 @@ class TestBoundedWidthSearch:
         width = data.draw(st.integers(1, m.sigma + 1))
         full = subset_sums_reference(m)
         assert _subset_sums(m, width) == full & ((1 << width) - 1)
+        assert full_sums(m) == full
 
     @settings(deadline=None)
     @given(st.one_of(balanced_pairs(), boundary_pairs(), wide_pairs()))
