@@ -127,7 +127,8 @@ def _emit_pairs(pairs, fmt: str, k: int) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     window = None
     if args.min_len is not None or args.max_len is not None:
-        hi = 10**9 if args.max_len is None else args.max_len
+        # No --max-len leaves the window open above.
+        hi = float("inf") if args.max_len is None else args.max_len
         window = (args.min_len or 1, hi)
     cfg = EnumConfig(
         k=args.k, sum_cap=args.sum_cap, length_window=window, mode=args.mode

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import Multiset, Pair, pair_canonical
+from .core import Pair, normalize, pair_canonical
 
 
 class DerivationError(ValueError):
@@ -143,13 +143,10 @@ def _apply(p: Pair, steps: tuple[tuple[int, int, int], ...]) -> Pair:
     for a, b, count in steps:
         gains = counts[0] if a > b else counts[1]
         gains[abs(a - b)] = gains.get(abs(a - b), 0) + count
-    result = []
     for (name, _), new in zip(sides, counts):
-        runs = tuple(sorted(((v, c) for v, c in new.items() if c > 0), reverse=True))
-        if not runs:
+        if not any(new.values()):
             raise EmptyResultError(f"plan would empty the {name} multiset")
-        result.append(Multiset(runs))
-    return pair_canonical(*result)
+    return pair_canonical(*(normalize(new.items()) for new in counts))
 
 
 def derive_chain(p: Pair, steps: Sequence[tuple[int, int]]) -> Pair:

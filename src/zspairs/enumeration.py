@@ -28,10 +28,10 @@ sum off its own result, so no survey shares state with another.
 
 A side is carried as linked runs, (value, count, the cell before this
 run), so extending it builds one small tuple.  Each hit is recorded,
-unsorted, as (length, A, B), the length counted in the stack entry.  Run
-tuples are built only where hits are read: `enumerate_irreducible`
-decodes and sorts each sum's hits in the length window, and
-`compute_ell` decodes only its witnesses.
+unsorted and in no side order, as (length, completed side, other side).
+`_pairs` alone turns hits into oriented, sorted Pairs, where they are
+read: `enumerate_irreducible` each sum's hits in the length window, and
+`compute_ell` only its witnesses.
 
 Neither mode nor cap reaches the search, which takes k alone; a survey
 reads sums off it.  Brute mode reads sums up to the cap and uses nothing
@@ -63,11 +63,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator
 
-from .core import KTooSmallError, Multiset, Pair, ResourceLimitError
+from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, pair_canonical
 from .formats import pair_to_obj
 # Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
@@ -76,8 +74,8 @@ from .irreducibility import _fold_run
 # k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
 # 20-38 ms and 17 MB peak RSS, even at cap 1), and a larger cap adds only
 # the count DP, O(k * cap), and one read per sum.  A brute survey at
-# MAX_BRUTE_CAP took 0.08-0.09 s at k=1 and 0.21-0.31 s at k=12, and
-# `enumerate` at k=12 0.30-0.48 s, at most 35 MB peak RSS (2 vCPUs,
+# MAX_BRUTE_CAP took 0.05-0.08 s at k=1 and 0.19-0.29 s at k=12, and
+# `enumerate` at k=12 0.26-0.41 s, at most 25 MB peak RSS (2 vCPUs,
 # Python 3.11.7, three rounds of best of 3).  Pruned mode reads no sum
 # above k*k, so it takes any cap.
 MAX_K = 12
@@ -171,24 +169,25 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
 
 
 def _search(k: int) -> dict[int, list]:
-    """Every irreducible canonical pair with values in [1, k]: a dict from
-    each sum to its hits, unsorted, each as (length, A, B) with both
-    sides as linked runs (see `_run_tuple`).  The stack empties by itself
-    (at sum k(k-1) for k >= 2), so no pair at any sum is missed.
+    """Every irreducible pair with values in [1, k]: a dict from
+    each sum to its hits, unsorted, each as (length, completed side,
+    other side) with no side order and both sides as linked runs (see
+    `_run_tuple`).  The stack empties by itself (at sum k(k-1) for
+    k >= 2), so no pair at any sum is missed.
 
     A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, the
-    pair's length, X is A) for the lighter side X of sum x < y, which
-    gains the next element e, at most its last one.  The entries come
-    off the stack having no shared positive sum, so only X's sums
-    shifted by e can meet Y's."""
+    pair's length) for the lighter side X of sum x < y, which gains the
+    next element e, at most its last one.  The entries come off the
+    stack having no shared positive sum, so only X's sums shifted by e
+    can meet Y's."""
     found: dict[int, list] = {}
     stack = []
     for v in range(1, k + 1):
         side = (v, 1, None)
         found[v] = [(2, side, side)]
-        stack += [(e, (e, 1, None), 1 | 1 << e, v, side, 1 | 1 << v, 2, False) for e in range(1, v)]
+        stack += [(e, (e, 1, None), 1 | 1 << e, v, side, 1 | 1 << v, 2) for e in range(1, v)]
     while stack:
-        x, side_x, sums_x, y, side_y, sums_y, n, x_is_a = stack.pop()
+        x, side_x, sums_x, y, side_y, sums_y, n = stack.pop()
         last, c, before = side_x
         n += 1
         for e in range(1, last + 1):
@@ -202,13 +201,13 @@ def _search(k: int) -> dict[int, list]:
                 continue
             side = (e, c + 1, before) if e == last else (e, 1, side_x)
             if total == y:
-                found.setdefault(y, []).append((n, side, side_y) if x_is_a else (n, side_y, side))
+                found.setdefault(y, []).append((n, side, side_y))
                 continue
             sums = sums_x | shifted
             if total < y:
-                stack.append((total, side, sums, y, side_y, sums_y, n, x_is_a))
+                stack.append((total, side, sums, y, side_y, sums_y, n))
             else:
-                stack.append((y, side_y, sums_y, total, side, sums, n, not x_is_a))
+                stack.append((y, side_y, sums_y, total, side, sums, n))
     return found
 
 
@@ -223,16 +222,16 @@ def _run_tuple(side) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _decoded(hits) -> list:
-    """Hits (any, A, B) as (A's run tuple, B's run tuple), in candidate
-    order."""
+def _pairs(hits) -> list[Pair]:
+    """Hits (any, X, Y) as canonical Pairs, in candidate order."""
+    pairs = [pair_canonical(Multiset(_run_tuple(x)), Multiset(_run_tuple(y))) for _, x, y in hits]
     # Run tuples order as their multisets do: descending is candidate order.
-    return sorted(((_run_tuple(a), _run_tuple(b)) for _, a, b in hits), reverse=True)
+    return sorted(pairs, key=lambda p: (p.a.runs, p.b.runs), reverse=True)
 
 
 def _scan_sum(found: dict, counts: list[int], total: int):
-    """All irreducible canonical pairs with common sum `total`, as the
-    search's unsorted (length, A, B) hits, plus the number of candidate
+    """All irreducible pairs with common sum `total`, as the
+    search's unsorted (length, X, Y) hits, plus the number of candidate
     pairs, m(m+1)/2 for the m multisets of sum `total` that the survey
     counts: both read off one survey's results `(found, counts)`."""
     m = counts[total]
@@ -279,7 +278,7 @@ def _scan_all(cfg: EnumConfig, workers: int):
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
     found = _search(k)
     counts = _box_counts(k, top, top if brute else k)
-    return map(_scan_task, [(found, counts, S) for S in range(1, top + 1)])
+    return map(_scan_task, ((found, counts, S) for S in range(1, top + 1)))
 
 
 def _windowed(cfg: EnumConfig, hits):
@@ -298,10 +297,10 @@ def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
     # The outermost iterable of a generator expression is evaluated now,
     # so a bad worker count fails here rather than mid-stream.
     return (
-        Pair(Multiset(runs_a), Multiset(runs_b))
+        p
         for hits, _ in _scan_all(cfg, workers)
         if hits
-        for runs_a, runs_b in _decoded(_windowed(cfg, hits))
+        for p in _pairs(_windowed(cfg, hits))
     )
 
 
@@ -315,7 +314,7 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     """
     start = time.perf_counter()
     ell = 0
-    longest: list = []  # (sum, A, B) of each longest hit so far, by sum
+    longest: dict[int, list] = {}  # each sum's hits of length ell, by sum
     scanned = 0
     irreducible = 0
     for total, (hits, sc) in enumerate(_scan_all(cfg, workers), 1):
@@ -323,18 +322,13 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
         if not hits:
             continue
         irreducible += len(hits)
-        for length, a, b in _windowed(cfg, hits):
-            if length < ell:
-                continue
-            if length > ell:
-                ell = length
-                longest = []
-            longest.append((total, a, b))
-    witnesses = tuple(
-        Pair(Multiset(runs_a), Multiset(runs_b))
-        for _, same_sum in groupby(longest, key=itemgetter(0))
-        for runs_a, runs_b in _decoded(same_sum)
-    )
+        for hit in _windowed(cfg, hits):
+            if hit[0] > ell:
+                ell = hit[0]
+                longest = {}
+            if hit[0] == ell:
+                longest.setdefault(total, []).append(hit)
+    witnesses = tuple(p for hits in longest.values() for p in _pairs(hits))
     return EllReport(
         k=cfg.k,
         ell=ell,

@@ -383,6 +383,10 @@ class TestEnumerate:
         assert out == ""
         assert err == "error: bad length window (1, 0)\n"
 
+    def test_min_len_without_max_len_is_open_above(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3", "--min-len", "2000000000")
+        assert (code, out, err) == (0, "", "")
+
     def test_printed_pairs_reparse(self, capsys):
         _, out, _ = run(capsys, "enumerate", "3", "--sum-cap", "9")
         for line in out.splitlines():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from zspairs import (
     pair_to_json,
     verify_theorem_bounds,
 )
-from zspairs.core import Multiset, Pair
+from zspairs.core import Multiset, Pair, pair_canonical
 from helpers import ms, pair, scan_sum_reference, subset_sums_reference
 
 
@@ -118,9 +119,12 @@ def _linked_runs(side):
 
 
 def _candidate_order(hits):
-    """A sum's raw hits (length, A, B) as (A's runs, B's runs), sorted
-    into candidate order."""
-    return sorted(((_linked_runs(a), _linked_runs(b)) for _, a, b in hits), reverse=True)
+    """A sum's raw hits (length, X, Y) as (A's runs, B's runs), A the
+    larger side, sorted into candidate order."""
+    return sorted(
+        (tuple(sorted((_linked_runs(x), _linked_runs(y)), reverse=True)) for _, x, y in hits),
+        reverse=True,
+    )
 
 
 def _stream(k, cap, mode):
@@ -753,6 +757,18 @@ class TestSurveyBudget:
         assert report.pairs_scanned == full.pairs_scanned
         assert report.witnesses == full.witnesses
 
+    def test_a_survey_holds_no_per_sum_task_list(self):
+        # Creating a survey runs the search and the count DP; its per-sum
+        # tasks are made one at a time as they are read.
+        cfg = EnumConfig(k=1, sum_cap=enumeration.MAX_BRUTE_CAP)
+        tracemalloc.start()
+        try:
+            enumeration._scan_all(cfg, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize(
         "mode,k", [("brute", k) for k in range(1, 13)] + [("pruned", k) for k in range(1, 10)]
     )
@@ -800,8 +816,9 @@ class TestComputeEll:
 
 class TestWitnessesOnly:
     # compute_ell builds Pairs only for its witnesses, so the engines'
-    # hits are checked here: each builds a valid canonical Pair, of the
-    # length the search stored with it.
+    # hits are checked here: each builds a valid Pair, of the length the
+    # search stored with it.  Hits carry no side order, so the Pair is
+    # oriented here.
     @pytest.mark.parametrize(
         "mode,k", [("brute", k) for k in range(1, 8)] + [("pruned", k) for k in range(1, 11)]
     )
@@ -809,8 +826,8 @@ class TestWitnessesOnly:
         cfg = EnumConfig(k=k, mode=mode)
         for hits, _ in enumeration._scan_all(cfg, 1):
             assert enumeration._windowed(cfg, hits) == hits
-            for length, a, b in hits:
-                p = Pair(Multiset(_linked_runs(a)), Multiset(_linked_runs(b)))
+            for length, x, y in hits:
+                p = pair_canonical(Multiset(_linked_runs(x)), Multiset(_linked_runs(y)))
                 assert p.length == length
 
     @pytest.mark.parametrize(
@@ -942,11 +959,15 @@ class TestTheoremBounds:
         assert p.a.cardinality == p.b.max_value
         assert p.b.cardinality == p.a.max_value
 
+    # The search is complete, so a default-cap survey at k <= MAX_K
+    # yields every irreducible pair with values in [1, k].
     def test_all_enumerated_pairs_satisfy_bounds(self):
-        for p in enumerate_irreducible(EnumConfig(k=4, sum_cap=16)):
-            assert verify_theorem_bounds(p)
+        for k in range(1, enumeration.MAX_K + 1):
+            for p in enumerate_irreducible(EnumConfig(k=k)):
+                assert verify_theorem_bounds(p), p
 
     def test_disjointness_of_longer_pairs(self):
-        for p in enumerate_irreducible(EnumConfig(k=4, sum_cap=16)):
-            if p.length > 2:
-                assert not set(p.a.values()) & set(p.b.values())
+        for k in range(1, enumeration.MAX_K + 1):
+            for p in enumerate_irreducible(EnumConfig(k=k)):
+                if p.length > 2:
+                    assert not set(p.a.values()) & set(p.b.values()), p
