@@ -1,11 +1,12 @@
 """On-disk cache for survey reports, one JSON file per (k, mode, sum_cap).
 
 Entries are invalidated by tool version, and a hit is served only after
-its report is checked again: its key fields, and every witness parsed
-and found irreducible at the reported length.  Writes go through a
-temporary file plus rename so readers never see a torn entry.  The
-directory defaults to the user cache dir and can be overridden with the
-ZSPAIRS_CACHE_DIR environment variable.
+its report is checked again: every field present and of its type, the
+key fields matching, and every witness parsed and found irreducible at
+the reported length.  An entry that cannot be read or parsed is a miss.
+Writes go through a temporary file plus rename so readers never see a
+torn entry.  The directory defaults to the user cache dir and can be
+overridden with the ZSPAIRS_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .enumeration import EllReport
 from .formats import pair_from_obj
 from .irreducibility import is_irreducible
 
 CACHE_DIR_ENV = "ZSPAIRS_CACHE_DIR"
+
+# The keys of EllReport.to_obj(): one per field.
+_REPORT_KEYS = frozenset(f.name for f in fields(EllReport))
 
 
 def cache_dir() -> Path:
@@ -44,7 +50,7 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
     path = entry_path(k, mode, sum_cap)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8, not JSON, too deep
         return None
     if not isinstance(data, dict):
         return None
@@ -60,13 +66,19 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
 
 def _report_holds(report: dict, k: int, mode: str, sum_cap: int) -> bool:
     """Whether a stored report is one a survey of this key could return:
-    its k, mode and sum_cap are the key's, ell is an int with a witness
-    exactly when it is positive, and every witness is an irreducible pair
-    of length ell within the caps."""
-    ell, witnesses = report.get("ell"), report.get("witnesses")
+    it has exactly the keys of a report, its k, mode and sum_cap are the
+    key's, its counts are ints >= 0 and its wall time a float, ell is an
+    int with a witness exactly when it is positive, and every witness is
+    an irreducible pair of length ell within the caps."""
+    if report.keys() != _REPORT_KEYS:
+        return False
+    ell, witnesses = report["ell"], report["witnesses"]
+    counts = (report["pairs_scanned"], report["irreducible_count"])
     if (
-        (report.get("k"), report.get("mode"), report.get("sum_cap")) != (k, mode, sum_cap)
+        (report["k"], report["mode"], report["sum_cap"]) != (k, mode, sum_cap)
         or type(ell) is not int
+        or not all(type(c) is int and c >= 0 for c in counts)
+        or type(report["wall_time"]) is not float
         or not isinstance(witnesses, list)
         or (ell > 0) != bool(witnesses)
     ):

@@ -26,12 +26,13 @@ the search reaches each irreducible pair exactly once and needs no
 seen-set.  A survey runs the search once, in `_scan_all`, and reads each
 sum off its own result, so no survey shares state with another.
 
-A side is carried as linked runs, (value, count, the cell before this
-run), so extending it builds one small tuple.  Each hit is recorded,
-unsorted and in no side order, as (length, completed side, other side).
-`_pairs` alone turns hits into oriented, sorted Pairs, where they are
-read: `enumerate_irreducible` each sum's hits in the length window, and
-`compute_ell` only its witnesses.
+A side is carried as one int, its count of value v in byte v - 1, so
+extending it is one addition.  Each hit is recorded, unsorted and in no
+side order, as (length, completed side, other side), and the child that
+completes a pair needs no test.  `_pairs` alone turns hits into
+oriented, sorted Pairs, decoding each distinct side once, where they
+are read: `enumerate_irreducible` each sum's hits in the length window,
+and `compute_ell` only its witnesses.
 
 Neither mode nor cap reaches the search, which takes k alone; a survey
 reads sums off it.  Brute mode reads sums up to the cap and uses nothing
@@ -72,10 +73,10 @@ from .irreducibility import _fold_run
 
 # One survey limit for both modes.  The search ends on its own at sum
 # k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
-# 20-38 ms and 17 MB peak RSS, even at cap 1), and a larger cap adds only
-# the count DP, O(k * cap), and one read per sum.  A brute survey at
-# MAX_BRUTE_CAP took 0.05-0.08 s at k=1 and 0.19-0.29 s at k=12, and
-# `enumerate` at k=12 0.26-0.41 s, at most 25 MB peak RSS (2 vCPUs,
+# 14-27 ms and 16.5 MB peak RSS, even at cap 1), and a larger cap adds
+# only the count DP, O(k * cap), and one read per sum.  A brute survey at
+# MAX_BRUTE_CAP took 0.07-0.08 s at k=1 and 0.16-0.20 s at k=12, and
+# `enumerate` at k=12 0.21-0.31 s, at most 25 MB peak RSS (2 vCPUs,
 # Python 3.11.7, three rounds of best of 3).  Pruned mode reads no sum
 # above k*k, so it takes any cap.
 MAX_K = 12
@@ -171,60 +172,65 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
 def _search(k: int) -> dict[int, list]:
     """Every irreducible pair with values in [1, k]: a dict from
     each sum to its hits, unsorted, each as (length, completed side,
-    other side) with no side order and both sides as linked runs (see
+    other side) with no side order and both sides packed (see
     `_run_tuple`).  The stack empties by itself (at sum k(k-1) for
     k >= 2), so no pair at any sum is missed.
 
-    A stack entry is (x, X, X's subset sums, y, Y, Y's subset sums, the
-    pair's length) for the lighter side X of sum x < y, which gains the
-    next element e, at most its last one.  The entries come off the
-    stack having no shared positive sum, so only X's sums shifted by e
-    can meet Y's."""
+    A side is one int holding its count of each value v in byte v - 1,
+    so extending it by e adds `one[e]`.  No count reaches 256, which
+    needs a pair of at least 257 elements: each entry X | Y completes to
+    the irreducible pair X + {y - x} | Y (see below), no longer than the
+    longest hit, 2k - 1 as `test_search_ends_by_itself` pins for every
+    k <= MAX_K.  The packing holds while k <= 128.
+
+    A stack entry is (x, X's last element, X, X's subset sums, y, Y's
+    last element, Y, Y's subset sums, the pair's length) for the
+    lighter side X of sum x < y, which gains the next element e, at
+    most its last one.  The entries come off the stack having no shared
+    positive sum, so only X's sums shifted by e can meet Y's."""
+    one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
     found: dict[int, list] = {}
     stack = []
     for v in range(1, k + 1):
-        side = (v, 1, None)
+        side = one[v]
         found[v] = [(2, side, side)]
-        stack += [(e, (e, 1, None), 1 | 1 << e, v, side, 1 | 1 << v, 2) for e in range(1, v)]
+        stack += [(e, e, one[e], 1 | 1 << e, v, v, side, 1 | 1 << v, 2) for e in range(1, v)]
     while stack:
-        x, side_x, sums_x, y, side_y, sums_y, n = stack.pop()
-        last, c, before = side_x
+        x, last, side_x, sums_x, y, last_y, side_y, sums_y, n = stack.pop()
         n += 1
+        d = y - x
+        if d <= last:
+            # Adding d completes the pair at sum y, and needs no test: if
+            # a + d = b for a in X's sums and b < y in Y's, then
+            # x - a = y - b > 0 is a shared sum of this entry, and the
+            # entries popped have none.
+            found.setdefault(y, []).append((n, side_x + one[d], side_y))
+            for e in range(d + 1, last + 1):
+                shifted = sums_x << e
+                if not shifted & sums_y:
+                    stack.append((y, last_y, side_y, sums_y,
+                                  x + e, e, side_x + one[e], sums_x | shifted, n))
+            last = d - 1
         for e in range(1, last + 1):
             shifted = sums_x << e
-            total = x + e
-            shared = shifted & sums_y
-            if total == y:
-                # The common sum is the one shared sum that is not interior.
-                shared ^= 1 << y
-            if shared:
-                continue
-            side = (e, c + 1, before) if e == last else (e, 1, side_x)
-            if total == y:
-                found.setdefault(y, []).append((n, side, side_y))
-                continue
-            sums = sums_x | shifted
-            if total < y:
-                stack.append((total, side, sums, y, side_y, sums_y, n))
-            else:
-                stack.append((y, side_y, sums_y, total, side, sums, n))
+            if not shifted & sums_y:
+                stack.append((x + e, e, side_x + one[e], sums_x | shifted,
+                              y, last_y, side_y, sums_y, n))
     return found
 
 
-def _run_tuple(side) -> tuple[tuple[int, int], ...]:
-    """The run tuple of a side carried as linked runs: cells (value,
-    count, the cell before this run), the last cell the smallest value."""
-    runs = []
-    while side is not None:
-        value, count, side = side
-        runs.append((value, count))
-    runs.reverse()
-    return tuple(runs)
+def _run_tuple(side: int) -> tuple[tuple[int, int], ...]:
+    """The run tuple of a packed side, read from its top byte down: the
+    count of value v is byte v - 1."""
+    data = side.to_bytes((side.bit_length() + 7) // 8, "little")
+    return tuple((v, c) for v, c in zip(range(len(data), 0, -1), reversed(data)) if c)
 
 
 def _pairs(hits) -> list[Pair]:
-    """Hits (any, X, Y) as canonical Pairs, in candidate order."""
-    pairs = [pair_canonical(Multiset(_run_tuple(x)), Multiset(_run_tuple(y))) for _, x, y in hits]
+    """Hits (any, X, Y) as canonical Pairs, in candidate order.  Each
+    distinct side is decoded once; hits of one sum often share one."""
+    sides = {side: Multiset(_run_tuple(side)) for side in {s for _, x, y in hits for s in (x, y)}}
+    pairs = [pair_canonical(sides[x], sides[y]) for _, x, y in hits]
     # Run tuples order as their multisets do: descending is candidate order.
     return sorted(pairs, key=lambda p: (p.a.runs, p.b.runs), reverse=True)
 
@@ -322,12 +328,15 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
         if not hits:
             continue
         irreducible += len(hits)
-        for hit in _windowed(cfg, hits):
-            if hit[0] > ell:
-                ell = hit[0]
-                longest = {}
-            if hit[0] == ell:
-                longest.setdefault(total, []).append(hit)
+        hits = _windowed(cfg, hits)
+        if not hits:
+            continue
+        length = max(hits)[0]
+        if length > ell:
+            ell = length
+            longest = {}
+        if length == ell:
+            longest[total] = [hit for hit in hits if hit[0] == ell]
     witnesses = tuple(p for hits in longest.values() for p in _pairs(hits))
     return EllReport(
         k=cfg.k,

@@ -283,10 +283,15 @@ class TestEll:
         assert (code2, err2) == (code1, err1) == (0, "cache: off\n")
         assert json.loads(out2) | {"wall_time": 0} == json.loads(out1) | {"wall_time": 0}
 
-    def test_corrupt_cache_entry_is_a_miss(self, capsys, isolated_cache):
+    @pytest.mark.parametrize(
+        "content",
+        [b"[]", b"\xff\xfe{bad", b"[" * 200_000 + b"]" * 200_000],
+        ids=["list", "not-utf8", "deep-nesting"],
+    )
+    def test_corrupt_cache_entry_is_a_miss(self, capsys, isolated_cache, content):
         _, expected, _ = run(capsys, "ell", "2")
         entry = next(isolated_cache.glob("*.json"))
-        entry.write_text("[]")
+        entry.write_bytes(content)
         code, out, err = run(capsys, "ell", "2")
         assert code == 0
         assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
@@ -304,8 +309,18 @@ class TestEll:
             lambda r: r | {"sum_cap": 4},
             lambda r: r | {"ell": 5.0},
             lambda r: r | {"witnesses": [{"A": [[3, 0]], "B": [[2, 3]]}]},
+            lambda r: r | {"pairs_scanned": "x"},
+            lambda r: {key: v for key, v in r.items() if key != "wall_time"},
         ],
-        ids=["inflated-ell", "reducible-witness", "sum-cap-mismatch", "float-ell", "bad-witness"],
+        ids=[
+            "inflated-ell",
+            "reducible-witness",
+            "sum-cap-mismatch",
+            "float-ell",
+            "bad-witness",
+            "bad-count",
+            "missing-field",
+        ],
     )
     def test_cache_entry_that_fails_reverification_is_a_miss(
         self, capsys, isolated_cache, edit

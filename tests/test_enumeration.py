@@ -108,13 +108,16 @@ def _runs(parts):
     return tuple((v, len(list(g))) for v, g in itertools.groupby(parts))
 
 
-def _linked_runs(side):
-    """The run tuple of a side the search carries as linked runs: cells
-    (value, count, the cell before this run), walked back from the last."""
+def _packed_runs(side):
+    """The run tuple of a side the search packs into one int, the count
+    of value v in byte v - 1, read from the low byte up."""
     runs = ()
-    while side is not None:
-        value, count, side = side
-        runs = ((value, count),) + runs
+    value = 0
+    while side:
+        side, count = divmod(side, 256)
+        value += 1
+        if count:
+            runs = ((value, count),) + runs
     return runs
 
 
@@ -122,7 +125,7 @@ def _candidate_order(hits):
     """A sum's raw hits (length, X, Y) as (A's runs, B's runs), A the
     larger side, sorted into candidate order."""
     return sorted(
-        (tuple(sorted((_linked_runs(x), _linked_runs(y)), reverse=True)) for _, x, y in hits),
+        (tuple(sorted((_packed_runs(x), _packed_runs(y)), reverse=True)) for _, x, y in hits),
         reverse=True,
     )
 
@@ -827,7 +830,7 @@ class TestWitnessesOnly:
         for hits, _ in enumeration._scan_all(cfg, 1):
             assert enumeration._windowed(cfg, hits) == hits
             for length, x, y in hits:
-                p = pair_canonical(Multiset(_linked_runs(x)), Multiset(_linked_runs(y)))
+                p = pair_canonical(Multiset(_packed_runs(x)), Multiset(_packed_runs(y)))
                 assert p.length == length
 
     @pytest.mark.parametrize(
@@ -835,12 +838,23 @@ class TestWitnessesOnly:
     )
     @pytest.mark.parametrize("window", [None, "short", "near"])
     def test_decodes_runs_only_for_its_witnesses(self, monkeypatch, mode, k, window):
-        # Each witness decodes its two sides; no other hit is decoded.
+        # Each distinct side of a sum's witnesses is decoded once; no
+        # other hit is decoded.
         window = {None: None, "short": (1, 5), "near": (2 * k - 3, 2 * k - 2)}[window]
         calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
         report = compute_ell(EnumConfig(k=k, mode=mode, length_window=window))
         assert report.witnesses
-        assert len(calls["_run_tuple"]) == 2 * len(report.witnesses)
+        sides = {(p.a.sigma, side) for p in report.witnesses for side in (p.a, p.b)}
+        assert len(calls["_run_tuple"]) == len(sides)
+
+    def test_enumerate_decodes_each_side_of_a_sum_once(self, monkeypatch):
+        # The 9,297 pairs at pruned k=12 have 4,564 distinct sides, counted
+        # sum by sum; decoding both sides of every hit would take 18,594.
+        calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
+        pairs = list(enumerate_irreducible(EnumConfig(k=12, mode="pruned")))
+        assert len(pairs) == 9_297
+        sides = {(p.a.sigma, side) for p in pairs for side in (p.a, p.b)}
+        assert len(calls["_run_tuple"]) == len(sides) == 4_564
 
     @pytest.mark.parametrize(
         "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
