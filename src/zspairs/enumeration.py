@@ -63,6 +63,7 @@ survey, and pruned surveys run the same search.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -189,7 +190,7 @@ def _search(k: int) -> dict[int, list]:
     most its last one.  The entries come off the stack having no shared
     positive sum, so only X's sums shifted by e can meet Y's."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
-    found: dict[int, list] = {}
+    found: dict[int, list] = defaultdict(list)
     stack = []
     for v in range(1, k + 1):
         side = one[v]
@@ -204,7 +205,7 @@ def _search(k: int) -> dict[int, list]:
             # a + d = b for a in X's sums and b < y in Y's, then
             # x - a = y - b > 0 is a shared sum of this entry, and the
             # entries popped have none.
-            found.setdefault(y, []).append((n, side_x + one[d], side_y))
+            found[y].append((n, side_x + one[d], side_y))
             for e in range(d + 1, last + 1):
                 shifted = sums_x << e
                 if not shifted & sums_y:
@@ -222,8 +223,9 @@ def _search(k: int) -> dict[int, list]:
 def _run_tuple(side: int) -> tuple[tuple[int, int], ...]:
     """The run tuple of a packed side, read from its top byte down: the
     count of value v is byte v - 1."""
-    data = side.to_bytes((side.bit_length() + 7) // 8, "little")
-    return tuple((v, c) for v, c in zip(range(len(data), 0, -1), reversed(data)) if c)
+    data = side.to_bytes((side.bit_length() + 7) // 8, "big")
+    top = len(data)
+    return tuple([(top - i, c) for i, c in enumerate(data) if c])
 
 
 def _pairs(hits) -> list[Pair]:
@@ -328,15 +330,12 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
         if not hits:
             continue
         irreducible += len(hits)
-        hits = _windowed(cfg, hits)
-        if not hits:
-            continue
-        length = max(hits)[0]
-        if length > ell:
-            ell = length
-            longest = {}
-        if length == ell:
-            longest[total] = [hit for hit in hits if hit[0] == ell]
+        for hit in _windowed(cfg, hits):
+            if hit[0] >= ell:
+                if hit[0] > ell:
+                    ell = hit[0]
+                    longest = {}
+                longest.setdefault(total, []).append(hit)
     witnesses = tuple(p for hits in longest.values() for p in _pairs(hits))
     return EllReport(
         k=cfg.k,

@@ -838,22 +838,22 @@ class TestWitnessesOnly:
     )
     @pytest.mark.parametrize("window", [None, "short", "near"])
     def test_decodes_runs_only_for_its_witnesses(self, monkeypatch, mode, k, window):
-        # Each distinct side of a sum's witnesses is decoded once; no
-        # other hit is decoded.
+        # Each distinct side of a witness is decoded once; no other hit
+        # is decoded.
         window = {None: None, "short": (1, 5), "near": (2 * k - 3, 2 * k - 2)}[window]
         calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
         report = compute_ell(EnumConfig(k=k, mode=mode, length_window=window))
         assert report.witnesses
-        sides = {(p.a.sigma, side) for p in report.witnesses for side in (p.a, p.b)}
+        sides = {side for p in report.witnesses for side in (p.a, p.b)}
         assert len(calls["_run_tuple"]) == len(sides)
 
-    def test_enumerate_decodes_each_side_of_a_sum_once(self, monkeypatch):
-        # The 9,297 pairs at pruned k=12 have 4,564 distinct sides, counted
-        # sum by sum; decoding both sides of every hit would take 18,594.
+    def test_enumerate_decodes_each_distinct_side_once(self, monkeypatch):
+        # The 9,297 pairs at pruned k=12 have 4,564 distinct sides;
+        # decoding both sides of every hit would take 18,594.
         calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
         pairs = list(enumerate_irreducible(EnumConfig(k=12, mode="pruned")))
         assert len(pairs) == 9_297
-        sides = {(p.a.sigma, side) for p in pairs for side in (p.a, p.b)}
+        sides = {side for p in pairs for side in (p.a, p.b)}
         assert len(calls["_run_tuple"]) == len(sides) == 4_564
 
     @pytest.mark.parametrize(
