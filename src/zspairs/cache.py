@@ -67,16 +67,15 @@ def load_report(k: int, mode: str, sum_cap: int, tool_version: str) -> dict | No
 def _report_holds(report: dict, k: int, mode: str, sum_cap: int) -> bool:
     """Whether a stored report is one a survey of this key could return:
     it has exactly the keys of a report, its k, mode and sum_cap are the
-    key's, its counts are ints >= 0 and its wall time a float, ell is an
-    int with a witness exactly when it is positive, and every witness is
+    key's, ell and its counts are ints >= 0 and its wall time a float,
+    there is a witness exactly when ell is positive, and every witness is
     an irreducible pair of length ell within the caps."""
     if report.keys() != _REPORT_KEYS:
         return False
     ell, witnesses = report["ell"], report["witnesses"]
-    counts = (report["pairs_scanned"], report["irreducible_count"])
+    counts = (ell, report["pairs_scanned"], report["irreducible_count"])
     if (
         (report["k"], report["mode"], report["sum_cap"]) != (k, mode, sum_cap)
-        or type(ell) is not int
         or not all(type(c) is int and c >= 0 for c in counts)
         or type(report["wall_time"]) is not float
         or not isinstance(witnesses, list)

@@ -180,9 +180,10 @@ def _search(k: int) -> dict[int, list]:
     A side is one int holding its count of each value v in byte v - 1,
     so extending it by e adds `one[e]`.  No count reaches 256, which
     needs a pair of at least 257 elements: each entry X | Y completes to
-    the irreducible pair X + {y - x} | Y (see below), no longer than the
-    longest hit, 2k - 1 as `test_search_ends_by_itself` pins for every
-    k <= MAX_K.  The packing holds while k <= 128.
+    the irreducible pair X + {y - x} | Y (the comment on the completing
+    child says why), no longer than the longest hit, 2k - 1 as
+    `test_search_ends_by_itself` pins for every k <= MAX_K.  The packing
+    holds while k <= 128.
 
     A stack entry is (x, X's last element, X, X's subset sums, y, Y's
     last element, Y, Y's subset sums, the pair's length) for the

@@ -311,6 +311,7 @@ class TestEll:
             lambda r: r | {"witnesses": [{"A": [[3, 0]], "B": [[2, 3]]}]},
             lambda r: r | {"pairs_scanned": "x"},
             lambda r: {key: v for key, v in r.items() if key != "wall_time"},
+            lambda r: r | {"ell": -1, "witnesses": []},
         ],
         ids=[
             "inflated-ell",
@@ -320,6 +321,7 @@ class TestEll:
             "bad-witness",
             "bad-count",
             "missing-field",
+            "negative-ell",
         ],
     )
     def test_cache_entry_that_fails_reverification_is_a_miss(
