@@ -76,60 +76,10 @@ from .irreducibility import (
     reducibility_witness,
 )
 
-__all__ = [
-    "__version__",
-    "Multiset",
-    "Pair",
-    "ZeroSumSequence",
-    "normalize",
-    "multiset",
-    "pair_canonical",
-    "sequence_to_pair",
-    "pair_to_sequence",
-    "extremal_construction",
-    "ReducibilityWitness",
-    "is_irreducible",
-    "is_irreducible_naive",
-    "reducibility_witness",
-    "DerivationPlan",
-    "AllocationResult",
-    "derive",
-    "derive_product",
-    "derive_chain",
-    "split_index",
-    "allocate_marbles",
-    "EnumConfig",
-    "EllReport",
-    "enumerate_multisets",
-    "enumerate_irreducible",
-    "compute_ell",
-    "extremal_pairs",
-    "verify_theorem_bounds",
-    "MAX_K",
-    "format_multiset",
-    "format_pair",
-    "parse_multiset",
-    "parse_pair",
-    "parse_plan",
-    "parse_chain",
-    "pair_to_json",
-    "pair_from_json",
-    "ContainsZeroError",
-    "EmptyError",
-    "KTooSmallError",
-    "LimitExceededError",
-    "NonPositiveCountError",
-    "NonPositiveValueError",
-    "NotZeroSumError",
-    "UnbalancedError",
-    "DerivationError",
-    "NoSuchElementError",
-    "EqualValuesError",
-    "TooSmallError",
-    "InfeasiblePlanError",
-    "EmptyResultError",
-    "NoSplitError",
-    "ResourceLimitError",
-    "TooLargeError",
-    "FormatError",
+from types import ModuleType as _Module
+
+# Every public name the imports above bind; the submodules they bind are not API.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
 ]

@@ -79,15 +79,15 @@ def cmd_ell(args: argparse.Namespace) -> int:
     # Refused before the lookup, so a cached entry cannot mask a bad count.
     check_workers(args.workers)
     if not args.no_cache:
-        cached = load_report(cfg.k, cfg.mode, cfg.sum_cap, __version__)
+        cached = load_report(cfg, __version__)
         if cached is not None:
             _print_report(cached["report"])
             # Provenance: the wall_time in the report is the original run's.
             print(
-                f"cache: hit {entry_path(cfg.k, cfg.mode, cfg.sum_cap)}"
-                f" created_at={cached.get('created_at')}"
+                f"cache: hit {entry_path(cfg)}"
+                f" created_at={cached['created_at']}"
                 f" version={cached['tool_version']}"
-                f" wall_time={cached['report'].get('wall_time')}",
+                f" wall_time={cached['report']['wall_time']}",
                 file=sys.stderr,
             )
             return 0
@@ -98,9 +98,7 @@ def cmd_ell(args: argparse.Namespace) -> int:
     else:
         # The report is already printed; failing to cache it is not an error.
         try:
-            path = store_report(
-                cfg.k, cfg.mode, cfg.sum_cap, __version__, report.to_obj()
-            )
+            path = store_report(cfg, __version__, report.to_obj())
         except OSError as e:
             print(f"cache: not stored ({e})", file=sys.stderr)
         else:
@@ -129,7 +127,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.min_len is not None or args.max_len is not None:
         # No --max-len leaves the window open above.
         hi = float("inf") if args.max_len is None else args.max_len
-        window = (args.min_len or 1, hi)
+        window = (1 if args.min_len is None else args.min_len, hi)
     cfg = EnumConfig(
         k=args.k, sum_cap=args.sum_cap, length_window=window, mode=args.mode
     )

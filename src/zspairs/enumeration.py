@@ -132,16 +132,8 @@ class EllReport:
     wall_time: float
 
     def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "witnesses": [pair_to_obj(p) for p in self.witnesses],
-            "pairs_scanned": self.pairs_scanned,
-            "irreducible_count": self.irreducible_count,
-            "mode": self.mode,
-            "sum_cap": self.sum_cap,
-            "wall_time": self.wall_time,
-        }
+        # Keys in field order: the witnesses keep their place.
+        return {**vars(self), "witnesses": [pair_to_obj(p) for p in self.witnesses]}
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:

@@ -1,3 +1,4 @@
+from zspairs import EnumConfig
 from zspairs.cache import CACHE_DIR_ENV, cache_dir, entry_path, load_report
 
 
@@ -9,6 +10,6 @@ def test_cache_dir_under_xdg_cache_home(tmp_path, monkeypatch):
 
 def test_entry_that_is_a_list_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    path = entry_path(3, "brute", 9)
+    path = entry_path(EnumConfig(k=3, sum_cap=9))
     path.write_text("[]")
-    assert load_report(3, "brute", 9, "0.1.0") is None
+    assert load_report(EnumConfig(k=3, sum_cap=9), "0.1.0") is None

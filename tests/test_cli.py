@@ -312,6 +312,15 @@ class TestEll:
             lambda r: r | {"pairs_scanned": "x"},
             lambda r: {key: v for key, v in r.items() if key != "wall_time"},
             lambda r: r | {"ell": -1, "witnesses": []},
+            # Reports that hold up but print other than a survey's.
+            lambda r: r | {"k": 3.0},
+            lambda r: r | {"sum_cap": 9.0},
+            lambda r: r | {"witnesses": [{"A": [[2, 3]], "B": [[3, 2]]}]},
+            lambda r: r | {"witnesses": [{"A": [[3, 1], [3, 1]], "B": [[2, 3]]}]},
+            lambda r: dict(reversed(r.items())),
+            lambda r: r | {"witnesses": r["witnesses"] * 2},
+            lambda r: r | {"wall_time": -1.0},
+            lambda r: r | {"wall_time": float("inf")},
         ],
         ids=[
             "inflated-ell",
@@ -322,6 +331,14 @@ class TestEll:
             "bad-count",
             "missing-field",
             "negative-ell",
+            "float-k",
+            "float-sum-cap",
+            "swapped-sides",
+            "split-run",
+            "reordered-keys",
+            "duplicate-witness",
+            "negative-wall-time",
+            "infinite-wall-time",
         ],
     )
     def test_cache_entry_that_fails_reverification_is_a_miss(
@@ -337,6 +354,28 @@ class TestEll:
         assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
         assert err.startswith("cache: stored")
         assert json.loads(entry.read_text())["report"] == json.loads(out)
+
+    @pytest.mark.parametrize(
+        "cap,edit",
+        [
+            ("4", lambda e: e | {"report": e["report"] | {
+                "witnesses": e["report"]["witnesses"][::-1]}}),
+            ("9", lambda e: e | {"created_at": 0}),
+            ("9", lambda e: {key: v for key, v in e.items() if key != "created_at"}),
+        ],
+        ids=["reordered-witnesses", "non-string-created-at", "missing-created-at"],
+    )
+    def test_cache_entry_edit_is_a_miss(self, capsys, isolated_cache, cap, edit):
+        # Edits to the whole entry; at cap 4 `ell 3` has two witnesses.
+        _, expected, _ = run(capsys, "ell", "3", "--sum-cap", cap)
+        entry = next(isolated_cache.glob("*.json"))
+        entry.write_text(json.dumps(edit(json.loads(entry.read_text()))))
+        code, out, err = run(capsys, "ell", "3", "--sum-cap", cap)
+        assert code == 0
+        assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
+        assert err.startswith("cache: stored")
+        stored = json.loads(entry.read_text())
+        assert stored["report"] == json.loads(out) and isinstance(stored["created_at"], str)
 
     def test_sum_cap_over_budget_fails_fast(self, capsys):
         start = time.perf_counter()
@@ -399,6 +438,10 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert err == "error: bad length window (1, 0)\n"
+
+    def test_min_len_zero_is_a_bad_window(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3", "--min-len", "0")
+        assert (code, out, err) == (1, "", "error: bad length window (0, inf)\n")
 
     def test_min_len_without_max_len_is_open_above(self, capsys):
         code, out, err = run(capsys, "enumerate", "3", "--min-len", "2000000000")

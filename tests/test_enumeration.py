@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -810,6 +810,13 @@ class TestComputeEll:
             "wall_time",
         }
         json.dumps(obj)  # serializable as a single document
+
+    def test_report_keys_are_the_fields_in_order(self):
+        # The printed report's key order is the field order.
+        obj = compute_ell(EnumConfig(k=2, sum_cap=8)).to_obj()
+        names = ["k", "ell", "witnesses", "pairs_scanned", "irreducible_count",
+                 "mode", "sum_cap", "wall_time"]
+        assert list(obj) == [f.name for f in fields(EllReport)] == names
 
     def test_counts_are_plausible(self):
         report = compute_ell(EnumConfig(k=2, sum_cap=4))
