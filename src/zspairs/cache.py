@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -101,6 +100,8 @@ def _report_holds(report: dict, cfg: EnumConfig) -> bool:
 
 def store_report(cfg: EnumConfig, tool_version: str, report: dict) -> Path:
     """Persist a report atomically; returns the entry path."""
+    import tempfile  # imports random; a lookup needs neither
+
     path = entry_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {

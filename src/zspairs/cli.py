@@ -8,15 +8,12 @@ an infeasible derivation, a resource limit), 2 for unparseable input.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import random
 import sys
 
 from . import __version__
 from .cache import entry_path, load_report, store_report
-from .checks import allocation_sweep, bounds_sweep, derivation_sweep, oracle_sweep
 from .derivation import DerivationError, DerivationPlan, derive_chain, derive_product
 from .enumeration import (
     _MODES,
@@ -108,6 +105,8 @@ def cmd_ell(args: argparse.Namespace) -> int:
 
 def _emit_pairs(pairs, fmt: str, k: int) -> None:
     if fmt == "csv":
+        import csv  # here, not at the top: start-up pays only for what a command uses
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["k", "sum", "length", "A", "B"])
         for p in pairs:
@@ -143,6 +142,10 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Reduced-scale runs of acceptance sweeps c05-c08."""
+    import random
+
+    from .checks import allocation_sweep, bounds_sweep, derivation_sweep, oracle_sweep
+
     rng = random.Random(20240901)  # shared: derivations draw first, then allocations
     results = (
         ("oracle-equivalence", "{} pairs, {} mismatches", oracle_sweep(5, 10)),

@@ -8,7 +8,6 @@ negated.  All types here are immutable values; every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 # Width guards: values and sums must stay comfortably inside 32-bit signed
@@ -56,30 +55,66 @@ class ResourceLimitError(ValueError):
     subset-sum fold is too large."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Multiset:
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value: equality, hash and repr over the attributes
+    named in `_fields`, which are also its constructor's parameters, in
+    order.  Assigning or deleting any attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor.
+        return self.__class__, self._values()
+
+
+class Multiset(_Value):
     """A nonempty multiset of positive integers, stored as (value, count)
     runs with values strictly decreasing.
 
-    The dataclass ordering compares run tuples lexicographically, which
-    coincides with comparing the descending element sequences (for equal
-    leading values a higher count wins, exactly as the longer prefix of
-    that value would).  Construct via :func:`normalize` unless the runs
-    are already canonical.
+    Multisets compare and order by their run tuples alone, which
+    lexicographically coincides with comparing the descending element
+    sequences (for equal leading values a higher count wins, exactly as
+    the longer prefix of that value would).  Construct via
+    :func:`normalize` unless the runs are already canonical.
     """
 
-    runs: tuple[tuple[int, int], ...]
-    # Set once from the runs; equality, ordering, hash and repr ignore them.
-    cardinality: int = field(init=False, repr=False, compare=False)
-    sigma: int = field(init=False, repr=False, compare=False)
+    # cardinality and sigma are set once from the runs; equality,
+    # ordering, hash and repr ignore them.
+    __slots__ = ("runs", "cardinality", "sigma")
+    _fields = ("runs",)
 
-    def __post_init__(self) -> None:
-        if not self.runs:
+    def __init__(self, runs: tuple[tuple[int, int], ...]) -> None:
+        if not runs:
             raise EmptyError("multiset has no elements")
         prev = None
         card = 0
         sigma = 0
-        for value, count in self.runs:
+        for value, count in runs:
             if value <= 0:
                 raise NonPositiveValueError(f"value {value} must be positive")
             if count <= 0:
@@ -95,8 +130,21 @@ class Multiset:
             raise LimitExceededError(f"cardinality {card} exceeds {MAX_CARDINALITY}")
         if sigma > MAX_SIGMA:
             raise LimitExceededError(f"sum {sigma} exceeds {MAX_SIGMA}")
-        object.__setattr__(self, "cardinality", card)
-        object.__setattr__(self, "sigma", sigma)
+        _set(self, "runs", runs)
+        _set(self, "cardinality", card)
+        _set(self, "sigma", sigma)
+
+    def __lt__(self, other):
+        return self.runs < other.runs if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.runs <= other.runs if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.runs > other.runs if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.runs >= other.runs if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def max_value(self) -> int:
@@ -148,8 +196,7 @@ def multiset(*elements: int) -> Multiset:
     return normalize([(e, 1) for e in elements])
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
+class Pair(_Value):
     """An unordered pair {A, B} of nonempty multisets, canonically oriented.
 
     Orientation: A's descending element sequence is lexicographically >=
@@ -157,12 +204,13 @@ class Pair:
     sums agree is exposed as `balanced`; irreducibility requires it.
     """
 
-    a: Multiset
-    b: Multiset
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a < self.b:
+    def __init__(self, a: Multiset, b: Multiset) -> None:
+        if a < b:
             raise ValueError("pair is not canonically oriented; use pair_canonical")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @property
     def balanced(self) -> bool:
@@ -186,19 +234,19 @@ def pair_canonical(x: Multiset, y: Multiset) -> Pair:
     return Pair(x, y)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroSumSequence:
+class ZeroSumSequence(_Value):
     """A finite sequence of nonzero integers summing to zero."""
 
-    terms: tuple[int, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[int, ...]) -> None:
+        if not terms:
             raise EmptyError("sequence has no terms")
-        if any(t == 0 for t in self.terms):
+        if any(t == 0 for t in terms):
             raise ContainsZeroError("sequence terms must be nonzero")
-        if sum(self.terms) != 0:
-            raise NotZeroSumError(f"terms sum to {sum(self.terms)}, not 0")
+        if sum(terms) != 0:
+            raise NotZeroSumError(f"terms sum to {sum(terms)}, not 0")
+        _set(self, "terms", terms)
 
 
 def sequence_to_pair(seq: ZeroSumSequence) -> Pair:

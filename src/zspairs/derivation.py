@@ -16,10 +16,9 @@ earlier ones, so order matters there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import Pair, normalize, pair_canonical
+from .core import Pair, _set, _Value, normalize, pair_canonical
 
 
 class DerivationError(ValueError):
@@ -52,17 +51,16 @@ class NoSplitError(DerivationError):
     """The split-index preconditions fail: y_1 > sum(x) or sum(y) <= sum(x)."""
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationPlan:
+class DerivationPlan(_Value):
     """How many (a, b)-derivations to apply, as (a, b, count) steps with
     distinct (a, b) keys.  Build from raw triples with `of`, which merges
     duplicates and drops zero counts."""
 
-    steps: tuple[tuple[int, int, int], ...] = field(default=())
+    __slots__ = _fields = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: tuple[tuple[int, int, int], ...] = ()) -> None:
         seen = set()
-        for a, b, count in self.steps:
+        for a, b, count in steps:
             if a <= 0 or b <= 0:
                 raise ValueError(f"plan values must be positive, got ({a},{b})")
             if count <= 0:
@@ -70,6 +68,7 @@ class DerivationPlan:
             if (a, b) in seen:
                 raise ValueError(f"duplicate plan key ({a},{b}); use DerivationPlan.of")
             seen.add((a, b))
+        _set(self, "steps", steps)
 
     @classmethod
     def of(cls, steps: Iterable[tuple[int, int, int]]) -> DerivationPlan:
@@ -193,8 +192,7 @@ def _check_positive(seq: Sequence[int], name: str) -> None:
         raise NoSplitError(f"{name} must contain positive integers only")
 
 
-@dataclass(frozen=True, slots=True)
-class AllocationResult:
+class AllocationResult(_Value):
     """Marble allocation: z[i][j] marbles of color j in bin i.
 
     Columns 0..t-1 are the fully placed colors (column sums equal y_j),
@@ -202,8 +200,11 @@ class AllocationResult:
     invariant y_{t+1} > sum of residuals holds strictly.
     """
 
-    t: int
-    z: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("t", "z")
+
+    def __init__(self, t: int, z: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "t", t)
+        _set(self, "z", z)
 
     def residuals(self) -> tuple[int, ...]:
         return tuple(row[self.t] for row in self.z)

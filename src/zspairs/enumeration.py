@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, pair_canonical
+from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, _set, _Value, pair_canonical
 from .formats import pair_to_obj
 # Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
@@ -86,54 +85,56 @@ MAX_BRUTE_CAP = 100_000
 _MODES = ("brute", "pruned")
 
 
-@dataclass(frozen=True)
-class EnumConfig:
+class EnumConfig(_Value):
     """Search scope: alphabet bound k, sum cap (default k*k), optional
     (lo, hi) filter on pair length, and the mode."""
 
-    k: int
-    sum_cap: int | None = None
-    length_window: tuple[int, int] | None = None
-    mode: str = "brute"
+    __slots__ = _fields = ("k", "sum_cap", "length_window", "mode")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.k > MAX_K:
-            raise ResourceLimitError(f"k={self.k} exceeds the survey limit of {MAX_K}")
-        if self.sum_cap is None:
-            object.__setattr__(self, "sum_cap", self.k * self.k)
-        if self.mode == "brute" and self.sum_cap > MAX_BRUTE_CAP:
+    def __init__(self, k: int, sum_cap: int | None = None,
+                 length_window: tuple[int, int] | None = None, mode: str = "brute") -> None:
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if k > MAX_K:
+            raise ResourceLimitError(f"k={k} exceeds the survey limit of {MAX_K}")
+        if sum_cap is None:
+            sum_cap = k * k
+        if mode == "brute" and sum_cap > MAX_BRUTE_CAP:
             raise ResourceLimitError(
-                f"sum cap {self.sum_cap} is too large for brute mode; "
+                f"sum cap {sum_cap} is too large for brute mode; "
                 f"the largest supported cap is {MAX_BRUTE_CAP}"
             )
-        if self.sum_cap < 1:
-            raise ValueError(f"sum_cap must be positive, got {self.sum_cap}")
-        if self.length_window is not None:
-            lo, hi = self.length_window
+        if sum_cap < 1:
+            raise ValueError(f"sum_cap must be positive, got {sum_cap}")
+        if length_window is not None:
+            lo, hi = length_window
             if lo < 1 or hi < lo:
                 raise ValueError(f"bad length window ({lo}, {hi})")
+        for name, value in zip(self._fields, (k, sum_cap, length_window, mode)):
+            _set(self, name, value)
 
 
-@dataclass(frozen=True)
-class EllReport:
+class EllReport(_Value):
     """Outcome of a maximum-length survey, with the caps it ran under."""
 
-    k: int
-    ell: int
-    witnesses: tuple[Pair, ...]
-    pairs_scanned: int
-    irreducible_count: int
-    mode: str
-    sum_cap: int
-    wall_time: float
+    __slots__ = _fields = (
+        "k", "ell", "witnesses", "pairs_scanned", "irreducible_count", "mode",
+        "sum_cap", "wall_time",
+    )
+
+    def __init__(self, k: int, ell: int, witnesses: tuple[Pair, ...], pairs_scanned: int,
+                 irreducible_count: int, mode: str, sum_cap: int, wall_time: float) -> None:
+        values = (k, ell, witnesses, pairs_scanned, irreducible_count, mode, sum_cap, wall_time)
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def to_obj(self) -> dict:
         # Keys in field order: the witnesses keep their place.
-        return {**vars(self), "witnesses": [pair_to_obj(p) for p in self.witnesses]}
+        obj = {name: getattr(self, name) for name in self._fields}
+        obj["witnesses"] = [pair_to_obj(p) for p in self.witnesses]
+        return obj
 
 
 def enumerate_multisets(k: int, total: int) -> Iterator[Multiset]:
@@ -347,7 +348,7 @@ def extremal_pairs(cfg: EnumConfig) -> list[Pair]:
     if cfg.k <= 1:
         raise KTooSmallError(f"k must be at least 2, got {cfg.k}")
     target = 2 * cfg.k - 1
-    narrowed = replace(cfg, length_window=(target, target))
+    narrowed = EnumConfig(cfg.k, cfg.sum_cap, (target, target), cfg.mode)
     return list(enumerate_irreducible(narrowed))
 
 

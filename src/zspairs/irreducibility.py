@@ -46,10 +46,9 @@ decide every greedy step exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
-from .core import Multiset, Pair, ResourceLimitError
+from .core import Multiset, Pair, ResourceLimitError, _set, _Value
 
 NAIVE_LENGTH_LIMIT = 30
 
@@ -204,12 +203,14 @@ def _naive_proper_sums(ms: Multiset) -> set[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class ReducibilityWitness:
+class ReducibilityWitness(_Value):
     """Equal-sum proper nonempty submultisets proving a pair reducible."""
 
-    a_sub: Multiset
-    b_sub: Multiset
+    __slots__ = _fields = ("a_sub", "b_sub")
+
+    def __init__(self, a_sub: Multiset, b_sub: Multiset) -> None:
+        _set(self, "a_sub", a_sub)
+        _set(self, "b_sub", b_sub)
 
 
 def reducibility_witness(p: Pair) -> ReducibilityWitness | None:

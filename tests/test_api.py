@@ -123,6 +123,9 @@ def test_value_is_immutable(name):
             setattr(x, attr, 1)
         with pytest.raises(AttributeError):
             delattr(x, attr)
+    # A name that is no field: the slotted dataclasses raised TypeError here.
+    with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+        x.other = 1
     assert repr(x) == _VALUES[name][3]
 
 

@@ -666,6 +666,26 @@ def test_import_loads_no_process_pool():
     assert fresh.stdout.split() == []
 
 
+_UNUSED_AT_START = {"dataclasses", "inspect", "csv", "random", "zspairs.checks"}
+
+
+def test_import_loads_only_what_every_command_needs():
+    # csv, random and the selftest sweeps load in the commands that use
+    # them, and no value type needs dataclasses (which imports inspect).
+    # -S leaves out what site imports on some machines (random among it).
+    src = Path(zspairs.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, zspairs.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(fresh.stdout.split())
+    assert "zspairs.cli" in loaded
+    assert loaded & _UNUSED_AT_START == set()
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
