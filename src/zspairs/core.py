@@ -96,11 +96,11 @@ class Multiset(_Value):
     """A nonempty multiset of positive integers, stored as (value, count)
     runs with values strictly decreasing.
 
-    Multisets compare and order by their run tuples alone, which
-    lexicographically coincides with comparing the descending element
-    sequences (for equal leading values a higher count wins, exactly as
-    the longer prefix of that value would).  Construct via
-    :func:`normalize` unless the runs are already canonical.
+    Multisets compare and order by their run tuples alone, and run
+    tuples order lexicographically as the descending element sequences
+    do (for equal leading values a higher count wins, exactly as the
+    longer prefix of that value would).  Construct via :func:`normalize`
+    unless the runs are already canonical.
     """
 
     # cardinality and sigma are set once from the runs; equality,
