@@ -236,6 +236,22 @@ class TestEll:
             f" wall_time={json.loads(out1)['wall_time']}\n"
         )
 
+    def test_fresh_and_cached_reports_match_the_pinned_stdout(self, capsys, isolated_cache):
+        # Witnesses at sums 4, 6, 6 and 8: the order across sums and
+        # within one sum, printed the same from a survey and from a hit.
+        code1, fresh, _ = run(capsys, "ell", "4", "--sum-cap", "8")
+        code2, hit, err = run(capsys, "ell", "4", "--sum-cap", "8")
+        assert (code1, code2) == (0, 0)
+        assert hit == fresh
+        assert re.sub(r'"wall_time":[^,}]*', '"wall_time":0', fresh) == (
+            '{"k":4,"ell":5,"witnesses":[{"A":[[4,1]],"B":[[1,4]]},'
+            '{"A":[[4,1],[1,2]],"B":[[3,2]]},{"A":[[3,2]],"B":[[2,3]]},'
+            '{"A":[[4,2]],"B":[[3,2],[2,1]]}],"pairs_scanned":277,'
+            '"irreducible_count":17,"mode":"brute","sum_cap":8,"wall_time":0}\n'
+        )
+        created_at = json.loads(next(isolated_cache.glob("*.json")).read_text())["created_at"]
+        assert err.startswith("cache: hit ") and f" created_at={created_at} " in err
+
     def test_cache_versioning(self, capsys, isolated_cache):
         run(capsys, "ell", "2")
         entry = next(isolated_cache.glob("*.json"))
