@@ -17,7 +17,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .enumeration import EllReport, EnumConfig
+from .enumeration import EllReport, EnumConfig, _survey_order
 from .formats import pair_from_obj
 from .irreducibility import is_irreducible
 
@@ -41,13 +41,9 @@ def entry_path(cfg: EnumConfig) -> Path:
     return cache_dir() / f"ell-k{cfg.k}-{cfg.mode}-cap{cfg.sum_cap}.json"
 
 
-def load_report(cfg: EnumConfig, tool_version: str) -> dict | None:
-    """The cache entry for this exact key and version, or None.
-
-    The entry is the stored object: its "report" (always a dict that
-    passes `_report_holds` here), "created_at" (a string) and
-    "tool_version".
-    """
+def load_report(cfg: EnumConfig, tool_version: str) -> tuple[EllReport, str] | None:
+    """The report cached for this exact key and version, rebuilt by
+    `_rebuilt`, and when its entry was stored; or None."""
     path = entry_path(cfg)
     try:
         data = json.loads(path.read_text())
@@ -57,48 +53,45 @@ def load_report(cfg: EnumConfig, tool_version: str) -> dict | None:
         return None
     if data.get("tool_version") != tool_version or data.get("key") != _key(cfg):
         return None
-    report = data.get("report")
-    if not isinstance(data.get("created_at"), str) or not isinstance(report, dict):
+    created_at, report = data.get("created_at"), data.get("report")
+    if not isinstance(created_at, str) or not isinstance(report, dict):
         return None
-    return data if _report_holds(report, cfg) else None
+    report = _rebuilt(report, cfg)
+    return None if report is None else (report, created_at)
 
 
-def _report_holds(report: dict, cfg: EnumConfig) -> bool:
-    """Whether a stored report is one a survey of this config could
-    return: rebuilt as an EllReport from its own values, under the
-    config's k, mode and sum_cap, it prints the same JSON; ell and its
-    counts are ints >= 0 and its wall time a finite float >= 0; there is a
-    witness exactly when ell is positive; and the witnesses, in the order
-    a survey lists them, are irreducible pairs of length ell within the
-    caps."""
+def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
+    """A stored report as the EllReport it was built from, if it is one a
+    survey of this config could return: rebuilt from its own values,
+    under the config's k, mode and sum_cap, it prints the same JSON; ell
+    and its counts are ints >= 0 and its wall time a finite float >= 0;
+    there is a witness exactly when ell is positive; and the witnesses,
+    in survey order, are irreducible pairs of length ell within the caps."""
     try:
         witnesses = tuple(map(pair_from_obj, report["witnesses"]))
         rebuilt = EllReport(**{**report, **_key(cfg), "witnesses": witnesses})
-    except (KeyError, TypeError, ValueError):  # a field missing or extra, a witness not a pair
-        return False
-    ell, wall_time = rebuilt.ell, rebuilt.wall_time
-    counts = (ell, rebuilt.pairs_scanned, rebuilt.irreducible_count)
-    # Survey order, strict so no witness comes twice: by sum, then A and B descending.
-    order = [(-p.a.sigma, p.a.runs, p.b.runs) for p in witnesses]
-    if (
-        json.dumps(rebuilt.to_obj()) != json.dumps(report)
-        or not all(type(c) is int and c >= 0 for c in counts)
-        or not (type(wall_time) is float and 0 <= wall_time < float("inf"))
-        or (ell > 0) != bool(witnesses)
-        or not all(x > y for x, y in zip(order, order[1:]))
-    ):
-        return False
-    try:
-        return all(
-            p.length == ell and p.max_element <= cfg.k and p.a.sigma <= cfg.sum_cap
-            and is_irreducible(p)
-            for p in witnesses
+        ell, wall_time = rebuilt.ell, rebuilt.wall_time
+        counts = (ell, rebuilt.pairs_scanned, rebuilt.irreducible_count)
+        order = [_survey_order(p) for p in witnesses]
+        holds = (
+            json.dumps(rebuilt.to_obj()) == json.dumps(report)
+            and all(type(c) is int and c >= 0 for c in counts)
+            and type(wall_time) is float and 0 <= wall_time < float("inf")
+            and (ell > 0) == bool(witnesses)
+            and all(x > y for x, y in zip(order, order[1:]))  # strict: no witness twice
+            and all(
+                p.length == ell and p.max_element <= cfg.k and p.a.sigma <= cfg.sum_cap
+                and is_irreducible(p)
+                for p in witnesses
+            )
         )
-    except ValueError:  # a pair too large to decide
-        return False
+    # A field missing or extra, a witness not a pair, or one too large to decide.
+    except (KeyError, TypeError, ValueError):
+        return None
+    return rebuilt if holds else None
 
 
-def store_report(cfg: EnumConfig, tool_version: str, report: dict) -> Path:
+def store_report(cfg: EnumConfig, tool_version: str, report: EllReport) -> Path:
     """Persist a report atomically; returns the entry path."""
     import tempfile  # imports random; a lookup needs neither
 
@@ -108,7 +101,7 @@ def store_report(cfg: EnumConfig, tool_version: str, report: dict) -> Path:
         "key": _key(cfg),
         "tool_version": tool_version,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "report": report,
+        "report": report.to_obj(),
     }
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:

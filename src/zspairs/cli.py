@@ -34,12 +34,6 @@ from .formats import (
 )
 from .irreducibility import is_irreducible, reducibility_witness
 
-_REPORT_SEPARATORS = (",", ":")
-
-
-def _print_report(obj: dict) -> None:
-    print(json.dumps(obj, separators=_REPORT_SEPARATORS))
-
 
 def cmd_check(args: argparse.Namespace) -> int:
     pair = parse_pair(args.pair)
@@ -66,8 +60,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
         result = derive_product(pair, plan)
     else:
         result = derive_chain(pair, parse_chain(args.chain))
+    # Decided before anything is printed: a pair too large to decide fails the run.
+    irreducible = is_irreducible(result)
     print(format_pair(result))
-    print(f"irreducible: {'true' if is_irreducible(result) else 'false'}")
+    print(f"irreducible: {'true' if irreducible else 'false'}")
     return 0
 
 
@@ -75,27 +71,22 @@ def cmd_ell(args: argparse.Namespace) -> int:
     cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
     # Refused before the lookup, so a cached entry cannot mask a bad count.
     check_workers(args.workers)
-    if not args.no_cache:
-        cached = load_report(cfg, __version__)
-        if cached is not None:
-            _print_report(cached["report"])
-            # Provenance: the wall_time in the report is the original run's.
-            print(
-                f"cache: hit {entry_path(cfg)}"
-                f" created_at={cached['created_at']}"
-                f" version={cached['tool_version']}"
-                f" wall_time={cached['report']['wall_time']}",
-                file=sys.stderr,
-            )
-            return 0
-    report = compute_ell(cfg, workers=args.workers)
-    _print_report(report.to_obj())
-    if args.no_cache:
+    cached = None if args.no_cache else load_report(cfg, __version__)
+    report = cached[0] if cached else compute_ell(cfg, workers=args.workers)
+    print(json.dumps(report.to_obj(), separators=(",", ":")))
+    if cached:
+        # Provenance: the wall_time in the report is the original run's.
+        print(
+            f"cache: hit {entry_path(cfg)} created_at={cached[1]}"
+            f" version={__version__} wall_time={report.wall_time}",
+            file=sys.stderr,
+        )
+    elif args.no_cache:
         print("cache: off", file=sys.stderr)
     else:
         # The report is already printed; failing to cache it is not an error.
         try:
-            path = store_report(cfg, __version__, report.to_obj())
+            path = store_report(cfg, __version__, report)
         except OSError as e:
             print(f"cache: not stored ({e})", file=sys.stderr)
         else:

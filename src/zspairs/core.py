@@ -140,12 +140,6 @@ class Multiset(_Value):
     def __le__(self, other):
         return self.runs <= other.runs if other.__class__ is self.__class__ else NotImplemented
 
-    def __gt__(self, other):
-        return self.runs > other.runs if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.runs >= other.runs if other.__class__ is self.__class__ else NotImplemented
-
     @property
     def max_value(self) -> int:
         return self.runs[0][0]

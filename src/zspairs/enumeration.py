@@ -222,13 +222,18 @@ def _run_tuple(side: int) -> tuple[tuple[int, int], ...]:
     return tuple([(top - i, c) for i, c in enumerate(data) if c])
 
 
+def _survey_order(p: Pair) -> tuple:
+    """A key under which survey order is descending: by sum, then by A
+    and B in candidate order.  Run tuples order as their multisets do."""
+    return (-p.a.sigma, p.a.runs, p.b.runs)
+
+
 def _pairs(hits) -> list[Pair]:
-    """Hits (any, X, Y) as canonical Pairs, in candidate order.  Each
+    """Hits (any, X, Y) as canonical Pairs, in survey order.  Each
     distinct side is decoded once; hits of one sum often share one."""
     sides = {side: Multiset(_run_tuple(side)) for side in {s for _, x, y in hits for s in (x, y)}}
     pairs = [pair_canonical(sides[x], sides[y]) for _, x, y in hits]
-    # Run tuples order as their multisets do: descending is candidate order.
-    return sorted(pairs, key=lambda p: (p.a.runs, p.b.runs), reverse=True)
+    return sorted(pairs, key=_survey_order, reverse=True)
 
 
 def _scan_sum(found: dict, counts: list[int], total: int):
@@ -316,10 +321,10 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     """
     start = time.perf_counter()
     ell = 0
-    longest: dict[int, list] = {}  # each sum's hits of length ell, by sum
+    longest = []  # the hits of length ell
     scanned = 0
     irreducible = 0
-    for total, (hits, sc) in enumerate(_scan_all(cfg, workers), 1):
+    for hits, sc in _scan_all(cfg, workers):
         scanned += sc
         if not hits:
             continue
@@ -328,13 +333,12 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
             if hit[0] >= ell:
                 if hit[0] > ell:
                     ell = hit[0]
-                    longest = {}
-                longest.setdefault(total, []).append(hit)
-    witnesses = tuple(p for hits in longest.values() for p in _pairs(hits))
+                    longest = []
+                longest.append(hit)
     return EllReport(
         k=cfg.k,
         ell=ell,
-        witnesses=witnesses,
+        witnesses=tuple(_pairs(longest)),
         pairs_scanned=scanned,
         irreducible_count=irreducible,
         mode=cfg.mode,

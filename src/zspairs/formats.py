@@ -16,7 +16,7 @@ import json
 import re
 from typing import Any
 
-from .core import Multiset, Pair, normalize, pair_canonical
+from .core import MAX_CARDINALITY, MAX_VALUE, LimitExceededError, Multiset, Pair, normalize, pair_canonical
 
 
 class FormatError(ValueError):
@@ -31,6 +31,17 @@ class FormatError(ValueError):
 # Matched with fullmatch: `$` also matches before a trailing newline.
 _RUN_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 _STEP_RE = re.compile(r"([0-9]+),([0-9]+)(?:\^([0-9]+))?")
+
+
+def _int(digits: str, what: str) -> int:
+    """A numeral's value.  One of more digits than int() converts (4,300 by
+    default) is past every limit, and is refused as such, unechoed."""
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        limit = MAX_VALUE if what == "value" else MAX_CARDINALITY
+        raise LimitExceededError(f"{what} of {len(digits)} digits exceeds {limit}") from None
 
 
 def _tokens(text: str, offset: int = 0) -> list[tuple[int, str]]:
@@ -53,8 +64,8 @@ def parse_multiset(text: str, offset: int = 0) -> Multiset:
         m = _RUN_RE.fullmatch(tok)
         if not m:
             raise FormatError(f"expected value^count, got {tok!r}", pos)
-        value = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) else 1
+        value = _int(m.group(1), "value")
+        count = _int(m.group(2) or "1", "cardinality")
         _check_run(value, count, pos)
         raw.append((value, count))
     return normalize(raw)
@@ -122,6 +133,8 @@ def pair_from_json(text: str) -> Pair:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", e.pos) from e
+    except ValueError as e:  # an int of more digits than the interpreter converts
+        raise FormatError("invalid JSON: a number has too many digits") from e
     return pair_from_obj(obj)
 
 
@@ -136,8 +149,8 @@ def parse_plan(text: str) -> list[tuple[int, int, int]]:
         m = _STEP_RE.fullmatch(tok)
         if not m:
             raise FormatError(f"expected a,b or a,b^count, got {tok!r}", pos)
-        a, b = int(m.group(1)), int(m.group(2))
-        count = int(m.group(3)) if m.group(3) else 1
+        a, b = _int(m.group(1), "value"), _int(m.group(2), "value")
+        count = _int(m.group(3) or "1", "count")
         if a <= 0 or b <= 0:
             raise FormatError("plan values must be positive", pos)
         if count <= 0:
@@ -158,7 +171,7 @@ def parse_chain(text: str) -> list[tuple[int, int]]:
         m = _STEP_RE.fullmatch(tok)
         if not m or m.group(3):
             raise FormatError(f"expected a,b, got {tok!r}", pos)
-        a, b = int(m.group(1)), int(m.group(2))
+        a, b = _int(m.group(1), "value"), _int(m.group(2), "value")
         if a <= 0 or b <= 0:
             raise FormatError("chain values must be positive", pos)
         chain.append((a, b))

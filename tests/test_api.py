@@ -139,7 +139,7 @@ def test_value_survives_copy_and_pickle(name):
 
 @_value_cases
 def test_value_keywords_are_checked(name):
-    # cache._report_holds relies on EllReport(**report) raising TypeError
+    # cache._rebuilt relies on EllReport(**report) raising TypeError
     # for a field missing or extra.
     cls, kwargs, _, _ = _VALUES[name]
     with pytest.raises(TypeError):

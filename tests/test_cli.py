@@ -179,6 +179,16 @@ class TestDerive:
         assert code == 1
         assert "step 0" in err
 
+    @pytest.mark.parametrize("flag", ["--chain", "--product"])
+    def test_result_too_large_to_decide_prints_nothing(self, capsys, flag):
+        # The derived pair has no shared sum below 2^24 and would next fold
+        # past the budget: the run fails before the pair is printed.
+        pair_text = "948490^1016 397863 | 762380^778 655357^566 1"
+        code, out, err = run(capsys, "derive", pair_text, flag, "397863,1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no shared sum below 16777216")
+        assert err.count("\n") == 1
+
     def test_infeasible_product(self, capsys):
         code, _, err = run(capsys, "derive", "5^2 | 2^5", "--product", "5,2^3")
         assert code == 1
@@ -187,6 +197,24 @@ class TestDerive:
     def test_requires_exactly_one_flag(self, capsys):
         code, _, _ = run(capsys, "derive", "5^2 | 2^5")
         assert code == 2
+
+
+_NINES = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("check", f"{_NINES} | 1"), "value"),
+        (("check", f"1^{_NINES} | 1"), "cardinality"),
+        (("derive", "3 | 2 1", "--chain", f"{_NINES},6"), "value"),
+        (("derive", "3 | 2 1", "--product", f"3,2^{_NINES}"), "count"),
+    ],
+    ids=["text-value", "text-count", "chain-number", "plan-count"],
+)
+def test_numeral_past_the_conversion_limit_is_over_the_limit(capsys, argv, what):
+    # Refused as any other over-limit number is, on one short line.
+    assert run(capsys, *argv) == (1, "", f"error: {what} of 5000 digits exceeds 1000000\n")
 
 
 class TestEll:

@@ -88,6 +88,8 @@ def test_json_rejects_bad_shapes():
         ('{"A":[[-5,1]],"B":[[1,1]]}', "value must be positive, got -5"),
         ('{"A":[[1,1]],"B":[[0,1]]}', "value must be positive, got 0"),
         ('{"A":[],"B":[[1,1]]}', "expected a multiset, got nothing"),
+        # An int of more digits than int() converts, which json.loads refuses.
+        ('{"A":[[%s,1]],"B":[[1,1]]}' % ("9" * 5000), "a number has too many digits"),
     ):
         with pytest.raises(FormatError, match=message):
             pair_from_json(text)
