@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -113,15 +114,9 @@ def _emit_pairs(pairs, fmt: str, k: int) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    window = None
-    if args.min_len is not None or args.max_len is not None:
-        # No --max-len leaves the window open above.
-        hi = float("inf") if args.max_len is None else args.max_len
-        window = (1 if args.min_len is None else args.min_len, hi)
-    cfg = EnumConfig(
-        k=args.k, sum_cap=args.sum_cap, length_window=window, mode=args.mode
-    )
-    _emit_pairs(enumerate_irreducible(cfg, workers=args.workers), args.format, args.k)
+    cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
+    pairs = enumerate_irreducible(cfg, args.workers, (args.min_len, args.max_len))
+    _emit_pairs(pairs, args.format, args.k)
     return 0
 
 
@@ -152,11 +147,28 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(bad == 0 for _, _, (_, bad) in results) else 1
 
 
+# The text grammars' numerals ([0-9], not \d), with an optional sign.
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
+def _numeral(text: str) -> int:
+    """An integer argument.  A numeral too long for int() is refused by
+    its digit count, not echoed."""
+    if not _NUMERAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: a numeral of {digits} digits is too long") from None
+
+
 def _add_survey_arguments(parser: argparse.ArgumentParser) -> None:
     """The arguments `ell`, `enumerate` and `extremal` share, first."""
-    parser.add_argument("k", type=int)
+    parser.add_argument("k", type=_numeral)
     parser.add_argument("--mode", choices=_MODES, default="brute")
-    parser.add_argument("--sum-cap", type=int, default=None)
+    parser.add_argument("--sum-cap", type=_numeral, default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,17 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ell = sub.add_parser("ell", help="survey the maximum pair length for k")
     _add_survey_arguments(p_ell)
     p_ell.add_argument("--no-cache", action="store_true")
-    p_ell.add_argument("--workers", type=int, default=1)
+    p_ell.add_argument("--workers", type=_numeral, default=1)
     p_ell.set_defaults(func=cmd_ell)
 
     p_enum = sub.add_parser("enumerate", help="list irreducible pairs for k")
     _add_survey_arguments(p_enum)
-    p_enum.add_argument("--min-len", type=int, default=None)
-    p_enum.add_argument("--max-len", type=int, default=None)
+    p_enum.add_argument("--min-len", type=_numeral, default=1)
+    p_enum.add_argument("--max-len", type=_numeral, default=float("inf"))
     p_enum.add_argument(
         "--format", choices=["json", "csv", "plain"], default="plain"
     )
-    p_enum.add_argument("--workers", type=int, default=1)
+    p_enum.add_argument("--workers", type=_numeral, default=1)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_ext = sub.add_parser(

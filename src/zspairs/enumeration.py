@@ -31,8 +31,11 @@ extending it is one addition.  Each hit is recorded, unsorted and in no
 side order, as (length, completed side, other side), and the child that
 completes a pair needs no test.  `_pairs` alone turns hits into
 oriented, sorted Pairs, decoding each distinct side once, where they
-are read: `enumerate_irreducible` each sum's hits in the length window,
-and `compute_ell` only its witnesses.
+are read: `enumerate_irreducible` each sum's hits in its length window,
+and `compute_ell` only its witnesses.  The window is an argument of
+`enumerate_irreducible` alone, which `extremal_pairs` narrows to 2k - 1;
+a survey, and the cache key of its report, is (k, sum cap, mode), so
+`compute_ell` takes no window and counts every hit.
 
 Neither mode nor cap reaches the search, which takes k alone; a survey
 reads sums off it.  Brute mode reads sums up to the cap and uses nothing
@@ -86,13 +89,12 @@ _MODES = ("brute", "pruned")
 
 
 class EnumConfig(_Value):
-    """Search scope: alphabet bound k, sum cap (default k*k), optional
-    (lo, hi) filter on pair length, and the mode."""
+    """A survey and its cache key: alphabet bound k, sum cap (default
+    k*k) and mode."""
 
-    __slots__ = _fields = ("k", "sum_cap", "length_window", "mode")
+    __slots__ = _fields = ("k", "sum_cap", "mode")
 
-    def __init__(self, k: int, sum_cap: int | None = None,
-                 length_window: tuple[int, int] | None = None, mode: str = "brute") -> None:
+    def __init__(self, k: int, sum_cap: int | None = None, mode: str = "brute") -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         if mode not in _MODES:
@@ -108,11 +110,7 @@ class EnumConfig(_Value):
             )
         if sum_cap < 1:
             raise ValueError(f"sum_cap must be positive, got {sum_cap}")
-        if length_window is not None:
-            lo, hi = length_window
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad length window ({lo}, {hi})")
-        for name, value in zip(self._fields, (k, sum_cap, length_window, mode)):
+        for name, value in zip(self._fields, (k, sum_cap, mode)):
             _set(self, name, value)
 
 
@@ -288,26 +286,21 @@ def _scan_all(cfg: EnumConfig, workers: int):
     return map(_scan_task, ((found, counts, S) for S in range(1, top + 1)))
 
 
-def _windowed(cfg: EnumConfig, hits):
-    """The raw hits whose length lies in the window, if one is set."""
-    window = cfg.length_window
-    if window is None:
-        return hits
-    lo, hi = window
-    return [hit for hit in hits if lo <= hit[0] <= hi]
-
-
-def enumerate_irreducible(cfg: EnumConfig, workers: int = 1) -> Iterator[Pair]:
-    """Every k-irreducible pair with common sum <= sum_cap (and length in
-    the window, if one is set), exactly once, in a fixed order: by sum,
-    then by descending-lexicographic position of A, then of B."""
+def enumerate_irreducible(cfg: EnumConfig, workers: int = 1,
+                          length_window: tuple[int, float] = (1, float("inf"))) -> Iterator[Pair]:
+    """Every k-irreducible pair with common sum <= sum_cap and length in
+    the inclusive window (lo, hi), exactly once, in a fixed order: by
+    sum, then by descending-lexicographic position of A, then of B."""
+    lo, hi = length_window
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad length window ({lo}, {hi})")
     # The outermost iterable of a generator expression is evaluated now,
     # so a bad worker count fails here rather than mid-stream.
     return (
         p
         for hits, _ in _scan_all(cfg, workers)
         if hits
-        for p in _pairs(_windowed(cfg, hits))
+        for p in _pairs([hit for hit in hits if lo <= hit[0] <= hi])
     )
 
 
@@ -326,10 +319,8 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     irreducible = 0
     for hits, sc in _scan_all(cfg, workers):
         scanned += sc
-        if not hits:
-            continue
         irreducible += len(hits)
-        for hit in _windowed(cfg, hits):
+        for hit in hits:
             if hit[0] >= ell:
                 if hit[0] > ell:
                     ell = hit[0]
@@ -352,8 +343,7 @@ def extremal_pairs(cfg: EnumConfig) -> list[Pair]:
     if cfg.k <= 1:
         raise KTooSmallError(f"k must be at least 2, got {cfg.k}")
     target = 2 * cfg.k - 1
-    narrowed = EnumConfig(cfg.k, cfg.sum_cap, (target, target), cfg.mode)
-    return list(enumerate_irreducible(narrowed))
+    return list(enumerate_irreducible(cfg, length_window=(target, target)))
 
 
 def verify_theorem_bounds(p: Pair) -> bool:

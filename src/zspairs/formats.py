@@ -135,6 +135,8 @@ def pair_from_json(text: str) -> Pair:
         raise FormatError(f"invalid JSON: {e.msg}", e.pos) from e
     except ValueError as e:  # an int of more digits than the interpreter converts
         raise FormatError("invalid JSON: a number has too many digits") from e
+    except RecursionError as e:
+        raise FormatError("invalid JSON: nested too deeply") from e
     return pair_from_obj(obj)
 
 

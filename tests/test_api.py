@@ -70,8 +70,8 @@ _VALUES = {
         "AllocationResult(t=1, z=((2, 0), (1, 1)))",
     ),
     "EnumConfig": (
-        zspairs.EnumConfig, {"k": 3}, ("k", "sum_cap", "length_window", "mode"),
-        "EnumConfig(k=3, sum_cap=9, length_window=None, mode='brute')",
+        zspairs.EnumConfig, {"k": 3}, ("k", "sum_cap", "mode"),
+        "EnumConfig(k=3, sum_cap=9, mode='brute')",
     ),
     "EllReport": (
         zspairs.EllReport,
@@ -148,12 +148,16 @@ def test_value_keywords_are_checked(name):
     for missing in kwargs if name != "DerivationPlan" else ():
         with pytest.raises(TypeError):
             cls(**{f: v for f, v in kwargs.items() if f != missing})
+    # A survey is (k, sum_cap, mode): the length window belongs to
+    # enumerate_irreducible, not to the config a report is cached under.
+    if name == "EnumConfig":
+        with pytest.raises(TypeError):
+            cls(k=4, length_window=(1, 3))
 
 
 def test_value_keyword_defaults():
-    assert zspairs.EnumConfig(k=3) == zspairs.EnumConfig(3, 9, None, "brute")
+    assert zspairs.EnumConfig(k=3) == zspairs.EnumConfig(3, 9, "brute")
     assert zspairs.EnumConfig(k=4, mode="pruned").sum_cap == 16
-    assert zspairs.EnumConfig(k=4, length_window=(2, 5)).length_window == (2, 5)
     assert zspairs.DerivationPlan().steps == ()
     with pytest.raises(TypeError):
         zspairs.EnumConfig()

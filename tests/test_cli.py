@@ -217,6 +217,26 @@ def test_numeral_past_the_conversion_limit_is_over_the_limit(capsys, argv, what)
     assert run(capsys, *argv) == (1, "", f"error: {what} of 5000 digits exceeds 1000000\n")
 
 
+@pytest.mark.parametrize("option", ["k", "--sum-cap", "--workers", "--min-len", "--max-len"])
+def test_survey_numeral_past_the_conversion_limit_is_a_usage_error(capsys, option):
+    # Told by its digit count, not echoed.
+    argv = ("ell", _NINES) if option == "k" else ("enumerate", "3", option, _NINES)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f": error: argument {option}: invalid int value: a numeral of 5000 digits is too long"
+    )
+    assert len(err) < 500
+
+
+@pytest.mark.parametrize("text", ["x", "\u0663", "1_2", "+3", " 3", "3\n"])
+def test_survey_numerals_are_ascii_digits(capsys, text):
+    # The text grammars' numerals: int() would read all but "x".
+    code, out, err = run(capsys, "ell", text, "--no-cache")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\nzspairs ell: error: argument k: invalid int value: {text!r}\n")
+
+
 class TestEll:
     def test_k3_brute(self, capsys):
         code, out, _ = run(capsys, "ell", "3", "--mode", "brute", "--no-cache")
@@ -477,14 +497,17 @@ class TestEnumerate:
         assert lines[0] == "k,sum,length,A,B"
         assert lines[3] == "2,2,3,2,1^2"
 
-    def test_max_len_zero_is_an_empty_window(self, capsys):
-        code, out, err = run(capsys, "enumerate", "3", "--max-len", "0")
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_max_len_zero_is_an_empty_window(self, capsys, fmt):
+        # Refused before anything is printed, a CSV header included.
+        code, out, err = run(capsys, "enumerate", "3", "--max-len", "0", "--format", fmt)
         assert code == 1
         assert out == ""
         assert err == "error: bad length window (1, 0)\n"
 
-    def test_min_len_zero_is_a_bad_window(self, capsys):
-        code, out, err = run(capsys, "enumerate", "3", "--min-len", "0")
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_min_len_zero_is_a_bad_window(self, capsys, fmt):
+        code, out, err = run(capsys, "enumerate", "3", "--min-len", "0", "--format", fmt)
         assert (code, out, err) == (1, "", "error: bad length window (0, inf)\n")
 
     def test_min_len_without_max_len_is_open_above(self, capsys):

@@ -330,8 +330,8 @@ class TestEnumConfig:
             EnumConfig(k=2, mode="magic")
         with pytest.raises(ValueError):
             EnumConfig(k=2, sum_cap=0)
-        with pytest.raises(ValueError):
-            EnumConfig(k=2, length_window=(4, 2))
+        with pytest.raises(ValueError, match=r"^bad length window \(4, 2\)$"):
+            enumerate_irreducible(EnumConfig(k=2), length_window=(4, 2))
 
 
 class TestEnumerateIrreducible:
@@ -360,8 +360,8 @@ class TestEnumerateIrreducible:
                     assert (p in found) == is_irreducible_naive(p)
 
     def test_length_window(self):
-        cfg = EnumConfig(k=3, sum_cap=9, length_window=(5, 5))
-        assert list(enumerate_irreducible(cfg)) == [pair((3, 3), (2, 2, 2))]
+        found = enumerate_irreducible(EnumConfig(k=3, sum_cap=9), length_window=(5, 5))
+        assert list(found) == [pair((3, 3), (2, 2, 2))]
 
     def test_monotone_in_sum_cap(self):
         small = set(enumerate_irreducible(EnumConfig(k=3, sum_cap=6)))
@@ -566,12 +566,6 @@ class TestScanKernel:
         assert stream == _stream(k, k * k, mode)[:cap]
         if mode == "pruned":
             assert stream == list(_reverse_search(k, cap))
-
-    def test_pruned_stream_matches_recorded_digest(self):
-        h = hashlib.sha256()
-        for item in _stream(9, 81, "pruned"):
-            h.update(repr(item).encode())
-        assert h.hexdigest() == self._DIGESTS["pruned", 9, 81]
 
     # sha256 over repr(item) for the items of a pruned survey, recorded
     # from the reverse search that pruned surveys ran before this search.
@@ -839,7 +833,6 @@ class TestWitnessesOnly:
     def test_every_hit_is_a_valid_canonical_pair(self, mode, k):
         cfg = EnumConfig(k=k, mode=mode)
         for hits, _ in enumeration._scan_all(cfg, 1):
-            assert enumeration._windowed(cfg, hits) == hits
             for length, x, y in hits:
                 p = pair_canonical(Multiset(_packed_runs(x)), Multiset(_packed_runs(y)))
                 assert p.length == length
@@ -850,12 +843,18 @@ class TestWitnessesOnly:
     @pytest.mark.parametrize("window", [None, "short", "near"])
     def test_decodes_runs_only_for_its_witnesses(self, monkeypatch, mode, k, window):
         # Each distinct side of a witness is decoded once; no other hit
-        # is decoded.
-        window = {None: None, "short": (1, 5), "near": (2 * k - 3, 2 * k - 2)}[window]
+        # is decoded.  With a window, the witnesses are the pairs a
+        # windowed enumeration yields.
+        cfg = EnumConfig(k=k, mode=mode)
         calls = TestScanKernel._counting(monkeypatch, "_run_tuple")
-        report = compute_ell(EnumConfig(k=k, mode=mode, length_window=window))
-        assert report.witnesses
-        sides = {side for p in report.witnesses for side in (p.a, p.b)}
+        if window is None:
+            witnesses = compute_ell(cfg).witnesses
+        else:
+            window = {"short": (1, 5), "near": (2 * k - 3, 2 * k - 2)}[window]
+            witnesses = list(enumerate_irreducible(cfg, length_window=window))
+            assert all(window[0] <= p.length <= window[1] for p in witnesses)
+        assert witnesses
+        sides = {side for p in witnesses for side in (p.a, p.b)}
         assert len(calls["_run_tuple"]) == len(sides)
 
     def test_enumerate_decodes_each_distinct_side_once(self, monkeypatch):
@@ -871,32 +870,28 @@ class TestWitnessesOnly:
         "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
     )
     def test_report_matches_a_reference_built_from_pairs(self, mode, k):
-        stream = list(enumeration._scan_all(EnumConfig(k=k, mode=mode), 1))
-        scanned = sum(sc for _, sc in stream)
-        irreducible = sum(len(hits) for hits, _ in stream)
-        for window in (None, (1, 3), (2 * k - 1, 2 * k - 1), (2 * k, 3 * k)):
-            cfg = EnumConfig(k=k, mode=mode, length_window=window)
-            ell = 0
-            witnesses = []
-            for p in enumerate_irreducible(cfg):
-                if p.length > ell:
-                    ell = p.length
-                    witnesses = [p]
-                elif p.length == ell:
-                    witnesses.append(p)
-            expected = EllReport(
-                k=k,
-                ell=ell,
-                witnesses=tuple(witnesses),
-                pairs_scanned=scanned,
-                irreducible_count=irreducible,
-                mode=mode,
-                sum_cap=k * k,
-                wall_time=0.0,
-            )
-            assert _timeless(compute_ell(cfg)) == expected, window
-            if window == (2 * k, 3 * k) and k > 1:
-                assert (ell, witnesses) == (0, [])
+        cfg = EnumConfig(k=k, mode=mode)
+        stream = list(enumeration._scan_all(cfg, 1))
+        pairs = list(enumerate_irreducible(cfg))
+        ell = max(p.length for p in pairs)
+        expected = EllReport(
+            k=k,
+            ell=ell,
+            witnesses=tuple(p for p in pairs if p.length == ell),
+            pairs_scanned=sum(sc for _, sc in stream),
+            irreducible_count=sum(len(hits) for hits, _ in stream),
+            mode=mode,
+            sum_cap=k * k,
+            wall_time=0.0,
+        )
+        assert _timeless(compute_ell(cfg)) == expected
+        assert expected.irreducible_count == len(pairs)
+        # A window keeps the stream's pairs of its lengths, in stream order.
+        for lo, hi in ((1, 3), (2 * k - 1, 2 * k - 1), (2 * k, 3 * k)):
+            windowed = list(enumerate_irreducible(cfg, length_window=(lo, hi)))
+            assert windowed == [p for p in pairs if lo <= p.length <= hi], (lo, hi)
+            if lo == 2 * k and k > 1:
+                assert windowed == []
 
     def test_pruned_k9_counts(self):
         # The figures perfbench/workloads.py gates survey-pruned-k9-w2 on.

@@ -90,6 +90,8 @@ def test_json_rejects_bad_shapes():
         ('{"A":[],"B":[[1,1]]}', "expected a multiset, got nothing"),
         # An int of more digits than int() converts, which json.loads refuses.
         ('{"A":[[%s,1]],"B":[[1,1]]}' % ("9" * 5000), "a number has too many digits"),
+        # Nested past the interpreter's recursion limit.
+        ("[" * 100_000, "nested too deeply"),
     ):
         with pytest.raises(FormatError, match=message):
             pair_from_json(text)
