@@ -1,6 +1,6 @@
 """On-disk cache for survey reports, one JSON file per (k, mode, sum_cap).
 
-Entries are invalidated by tool version, and a hit is served only after
+Entries are invalidated by `__version__`, and a hit is served only after
 its report is checked again: it must print exactly as the report a
 survey of its key would, rebuilt from its own values, and its counts,
 wall time and witnesses must be ones a survey could return.  An entry
@@ -17,6 +17,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .enumeration import EllReport, EnumConfig, _survey_order
 from .formats import pair_from_obj
 from .irreducibility import is_irreducible
@@ -41,8 +42,8 @@ def entry_path(cfg: EnumConfig) -> Path:
     return cache_dir() / f"ell-k{cfg.k}-{cfg.mode}-cap{cfg.sum_cap}.json"
 
 
-def load_report(cfg: EnumConfig, tool_version: str) -> tuple[EllReport, str] | None:
-    """The report cached for this exact key and version, rebuilt by
+def load_report(cfg: EnumConfig) -> tuple[EllReport, str] | None:
+    """The report cached for this exact key and this version, rebuilt by
     `_rebuilt`, and when its entry was stored; or None."""
     path = entry_path(cfg)
     try:
@@ -51,7 +52,7 @@ def load_report(cfg: EnumConfig, tool_version: str) -> tuple[EllReport, str] | N
         return None
     if not isinstance(data, dict):
         return None
-    if data.get("tool_version") != tool_version or data.get("key") != _key(cfg):
+    if data.get("tool_version") != __version__ or data.get("key") != _key(cfg):
         return None
     created_at, report = data.get("created_at"), data.get("report")
     if not isinstance(created_at, str) or not isinstance(report, dict):
@@ -91,7 +92,7 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
     return rebuilt if holds else None
 
 
-def store_report(cfg: EnumConfig, tool_version: str, report: EllReport) -> Path:
+def store_report(cfg: EnumConfig, report: EllReport) -> Path:
     """Persist a report atomically; returns the entry path."""
     import tempfile  # imports random; a lookup needs neither
 
@@ -99,7 +100,7 @@ def store_report(cfg: EnumConfig, tool_version: str, report: EllReport) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {
         "key": _key(cfg),
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "report": report.to_obj(),
     }

@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .cache import entry_path, load_report, store_report
+from .core import MAX_DIGITS
 from .derivation import DerivationError, DerivationPlan, derive_chain, derive_product
 from .enumeration import (
     _MODES,
@@ -26,6 +27,7 @@ from .enumeration import (
 )
 from .formats import (
     FormatError,
+    _quoted,
     format_multiset,
     format_pair,
     pair_to_json,
@@ -72,7 +74,7 @@ def cmd_ell(args: argparse.Namespace) -> int:
     cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
     # Refused before the lookup, so a cached entry cannot mask a bad count.
     check_workers(args.workers)
-    cached = None if args.no_cache else load_report(cfg, __version__)
+    cached = None if args.no_cache else load_report(cfg)
     report = cached[0] if cached else compute_ell(cfg, workers=args.workers)
     print(json.dumps(report.to_obj(), separators=(",", ":")))
     if cached:
@@ -87,7 +89,7 @@ def cmd_ell(args: argparse.Namespace) -> int:
     else:
         # The report is already printed; failing to cache it is not an error.
         try:
-            path = store_report(cfg, __version__, report)
+            path = store_report(cfg, report)
         except OSError as e:
             print(f"cache: not stored ({e})", file=sys.stderr)
         else:
@@ -152,16 +154,15 @@ _NUMERAL = re.compile(r"-?[0-9]+")
 
 
 def _numeral(text: str) -> int:
-    """An integer argument.  A numeral too long for int() is refused by
-    its digit count, not echoed."""
+    """An integer argument.  A numeral of more than MAX_DIGITS significant
+    digits is refused by its digit count, not echoed."""
     if not _NUMERAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        digits = len(text.lstrip("-"))
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
+    digits = text.lstrip("-").lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: a numeral of {digits} digits is too long") from None
+            f"invalid int value: a numeral of {len(digits)} digits is too long")
+    return -int(digits) if text.startswith("-") else int(digits)
 
 
 def _add_survey_arguments(parser: argparse.ArgumentParser) -> None:

@@ -15,6 +15,9 @@ from typing import Iterable, Iterator
 MAX_VALUE = 10**6
 MAX_CARDINALITY = 10**6
 MAX_SIGMA = 2**31 - 1
+# Most significant digits a numeral read from text may have: above
+# MAX_SIGMA's 10, and below 640, the least digit limit int() can be given.
+MAX_DIGITS = 20
 
 
 class NonPositiveValueError(ValueError):

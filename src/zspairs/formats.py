@@ -16,7 +16,8 @@ import json
 import re
 from typing import Any
 
-from .core import MAX_CARDINALITY, MAX_VALUE, LimitExceededError, Multiset, Pair, normalize, pair_canonical
+from .core import (MAX_CARDINALITY, MAX_DIGITS, MAX_VALUE, LimitExceededError, Multiset, Pair,
+                   normalize, pair_canonical)
 
 
 class FormatError(ValueError):
@@ -34,14 +35,31 @@ _STEP_RE = re.compile(r"([0-9]+),([0-9]+)(?:\^([0-9]+))?")
 
 
 def _int(digits: str, what: str) -> int:
-    """A numeral's value.  One of more digits than int() converts (4,300 by
-    default) is past every limit, and is refused as such, unechoed."""
+    """A numeral's value.  One of more than MAX_DIGITS significant digits
+    is past every limit, and is refused as such, unechoed."""
     digits = digits.lstrip("0") or "0"
-    try:
-        return int(digits)
-    except ValueError:
+    if len(digits) > MAX_DIGITS:
         limit = MAX_VALUE if what == "value" else MAX_CARDINALITY
-        raise LimitExceededError(f"{what} of {len(digits)} digits exceeds {limit}") from None
+        raise LimitExceededError(f"{what} of {len(digits)} digits exceeds {limit}")
+    return int(digits)
+
+
+def _json_int(text: str) -> int:
+    # JSON numerals have no leading zeros, so every digit is significant.
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise FormatError("invalid JSON: a number has too many digits")
+    return int(text)
+
+
+# A JSON text with no run of more than MAX_DIGITS digits has no int that
+# _json_int would refuse, and is parsed without it, at the C parser's speed.
+_LONG_DIGITS = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")
+
+
+def _quoted(token: str) -> str:
+    """A token as repr prints it, cut after 40 characters and then marked."""
+    text = repr(token)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(token)} characters)"
 
 
 def _tokens(text: str, offset: int = 0) -> list[tuple[int, str]]:
@@ -63,7 +81,7 @@ def parse_multiset(text: str, offset: int = 0) -> Multiset:
     for pos, tok in toks:
         m = _RUN_RE.fullmatch(tok)
         if not m:
-            raise FormatError(f"expected value^count, got {tok!r}", pos)
+            raise FormatError(f"expected value^count, got {_quoted(tok)}", pos)
         value = _int(m.group(1), "value")
         count = _int(m.group(2) or "1", "cardinality")
         _check_run(value, count, pos)
@@ -130,11 +148,9 @@ def pair_from_obj(obj: Any) -> Pair:
 
 def pair_from_json(text: str) -> Pair:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int if _LONG_DIGITS.search(text) else None)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", e.pos) from e
-    except ValueError as e:  # an int of more digits than the interpreter converts
-        raise FormatError("invalid JSON: a number has too many digits") from e
     except RecursionError as e:
         raise FormatError("invalid JSON: nested too deeply") from e
     return pair_from_obj(obj)
@@ -150,7 +166,7 @@ def parse_plan(text: str) -> list[tuple[int, int, int]]:
             raise FormatError("empty plan step", pos)
         m = _STEP_RE.fullmatch(tok)
         if not m:
-            raise FormatError(f"expected a,b or a,b^count, got {tok!r}", pos)
+            raise FormatError(f"expected a,b or a,b^count, got {_quoted(tok)}", pos)
         a, b = _int(m.group(1), "value"), _int(m.group(2), "value")
         count = _int(m.group(3) or "1", "count")
         if a <= 0 or b <= 0:
@@ -172,7 +188,7 @@ def parse_chain(text: str) -> list[tuple[int, int]]:
             raise FormatError("empty chain step", pos)
         m = _STEP_RE.fullmatch(tok)
         if not m or m.group(3):
-            raise FormatError(f"expected a,b, got {tok!r}", pos)
+            raise FormatError(f"expected a,b, got {_quoted(tok)}", pos)
         a, b = _int(m.group(1), "value"), _int(m.group(2), "value")
         if a <= 0 or b <= 0:
             raise FormatError("chain values must be positive", pos)

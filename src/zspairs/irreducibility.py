@@ -231,15 +231,12 @@ def reducibility_witness(p: Pair) -> ReducibilityWitness | None:
     target = None if verdict else _smallest_shared_sum(q)
     if target is None:
         return None
-    a_sub, b_sub = (
-        Multiset(tuple((v * g, c) for v, c in _extract_submultiset(m, target).runs))
-        for m in (q.a, q.b)
-    )
-    return ReducibilityWitness(a_sub=a_sub, b_sub=b_sub)
+    return ReducibilityWitness(*(_extract_submultiset(m, target, g) for m in (q.a, q.b)))
 
 
-def _extract_submultiset(ms: Multiset, target: int) -> Multiset:
-    """A submultiset of ms summing to target, greedy on larger values."""
+def _extract_submultiset(ms: Multiset, target: int, g: int) -> Multiset:
+    """A submultiset of ms summing to target, greedy on larger values,
+    with every value times g."""
     runs = ms.runs
     # suffix[i] = sums up to target achievable using runs[i:] only; the
     # walk below never asks about a larger sum.
@@ -254,7 +251,7 @@ def _extract_submultiset(ms: Multiset, target: int) -> Multiset:
         while take > 0 and not (suffix[i + 1] >> (remaining - take * value)) & 1:
             take -= 1
         if take > 0:
-            taken.append((value, take))
+            taken.append((value * g, take))
             remaining -= take * value
         if remaining == 0:
             break

@@ -177,14 +177,15 @@ def residue_pairs(draw) -> Pair:
 
 
 def scan_sum_reference(k: int, total: int, mode: str):
-    """The all-pairs scan the join must reproduce: every same-sum
-    candidate pair (i <= j) visited, pruned mode's exact predicates, then
-    the interior-mask AND test.  Returns (hits as run tuples, pairs
-    visited).
+    """The all-pairs scan a survey's read of one sum must reproduce:
+    every same-sum candidate pair (i <= j) visited, pruned mode's exact
+    predicates, then the interior-mask AND test.  Returns (hits as run
+    tuples, pairs visited).
 
     This keeps the cardinality and shared-value predicates, which the
-    kernel drops: its join AND-tests every pair of disjoint-key buckets
-    in either mode.  Agreement at pruned k <= 8 shows that neither
+    search never applies: it grows both sides of a pair at once, in
+    either mode, and drops a prefix pair only when its subset sums share
+    a positive value.  Agreement at pruned k <= 8 shows that neither
     predicate ever removes a hit there."""
     if mode == "brute":
         sides = list(enumerate_multisets(k, total))

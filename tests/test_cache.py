@@ -12,4 +12,4 @@ def test_entry_that_is_a_list_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     path = entry_path(EnumConfig(k=3, sum_cap=9))
     path.write_text("[]")
-    assert load_report(EnumConfig(k=3, sum_cap=9), "0.1.0") is None
+    assert load_report(EnumConfig(k=3, sum_cap=9)) is None

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zspairs
@@ -25,6 +25,7 @@ from zspairs import (
 )
 from zspairs.cache import CACHE_DIR_ENV
 from zspairs.cli import build_parser, main
+from zspairs.core import MAX_CARDINALITY, MAX_SIGMA, MAX_VALUE
 from zspairs.enumeration import _MODES
 from helpers import balanced_pairs, multisets, pair
 
@@ -200,33 +201,58 @@ class TestDerive:
 
 
 _NINES = "9" * 5000  # more digits than int() converts by default
+# Each over MAX_DIGITS significant digits, with its count: past the
+# conversion limit, short of it, and padded with zeros that do not count.
+_OVER_LONG = [(_NINES, 5000), ("9" * 4000, 4000), ("0" * 5000 + "9" * 21, 21)]
 
 
 @pytest.mark.parametrize(
     "argv,what",
     [
-        (("check", f"{_NINES} | 1"), "value"),
-        (("check", f"1^{_NINES} | 1"), "cardinality"),
-        (("derive", "3 | 2 1", "--chain", f"{_NINES},6"), "value"),
-        (("derive", "3 | 2 1", "--product", f"3,2^{_NINES}"), "count"),
+        (("check", "{} | 1"), "value"),
+        (("check", "1^{} | 1"), "cardinality"),
+        (("derive", "3 | 2 1", "--chain", "{},6"), "value"),
+        (("derive", "3 | 2 1", "--product", "3,2^{}"), "count"),
     ],
     ids=["text-value", "text-count", "chain-number", "plan-count"],
 )
 def test_numeral_past_the_conversion_limit_is_over_the_limit(capsys, argv, what):
     # Refused as any other over-limit number is, on one short line.
-    assert run(capsys, *argv) == (1, "", f"error: {what} of 5000 digits exceeds 1000000\n")
+    for numeral, digits in _OVER_LONG:
+        expected = (1, "", f"error: {what} of {digits} digits exceeds 1000000\n")
+        assert run(capsys, *(a.format(numeral) for a in argv)) == expected
 
 
 @pytest.mark.parametrize("option", ["k", "--sum-cap", "--workers", "--min-len", "--max-len"])
 def test_survey_numeral_past_the_conversion_limit_is_a_usage_error(capsys, option):
     # Told by its digit count, not echoed.
-    argv = ("ell", _NINES) if option == "k" else ("enumerate", "3", option, _NINES)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(
-        f": error: argument {option}: invalid int value: a numeral of 5000 digits is too long"
+    for numeral, digits in _OVER_LONG:
+        argv = ("ell", numeral) if option == "k" else ("enumerate", "3", option, numeral)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f": error: argument {option}: invalid int value: a numeral of {digits} digits is too long"
+        )
+        assert len(err) < 500
+
+
+def test_survey_numeral_leading_zeros_do_not_count(capsys):
+    # The text grammars' rule: a padded 3 is the numeral 3.
+    assert run(capsys, "enumerate", "0" * 5000 + "3") == run(capsys, "enumerate", "3")
+
+
+def test_numeral_rule_does_not_rest_on_the_interpreter_digit_limit():
+    # With int()'s own digit limit lifted, a long numeral is still refused
+    # by its count of significant digits.
+    src = Path(zspairs.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zspairs.cli", "check", f"{_NINES} | 1"],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"},
+        capture_output=True,
+        text=True,
     )
-    assert len(err) < 500
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: value of 5000 digits exceeds 1000000\n"
 
 
 @pytest.mark.parametrize("text", ["x", "\u0663", "1_2", "+3", " 3", "3\n"])
@@ -235,6 +261,72 @@ def test_survey_numerals_are_ascii_digits(capsys, text):
     code, out, err = run(capsys, "ell", text, "--no-cache")
     assert (code, out) == (2, "")
     assert err.endswith(f"\nzspairs ell: error: argument k: invalid int value: {text!r}\n")
+
+
+def _strayed(texts):
+    """The texts, and the texts with stray characters put in anywhere."""
+    def put(t):
+        text, stray, at = t
+        at %= len(text) + 1
+        return text[:at] + stray + text[at:]
+
+    return st.one_of(texts, st.tuples(texts, st.text(min_size=1, max_size=3), st.integers(0)).map(put))
+
+
+# Numerals near each limit, of 20 and 4,300 digits, and padded with zeros.
+_limit_numerals = st.one_of(
+    st.sampled_from([MAX_VALUE, MAX_CARDINALITY, MAX_SIGMA]).flatmap(
+        lambda n: st.integers(n - 2, n + 2)
+    ).map(str),
+    st.integers(1, 40).map(str),
+    st.sampled_from(["9" * 20, "1" + "0" * 19, "9" * 4300]),
+)
+_numerals = st.one_of(
+    _limit_numerals,
+    st.tuples(st.integers(1, 30), _limit_numerals).map(lambda t: "0" * t[0] + t[1]),
+)
+_counts = st.one_of(st.just(""), _numerals.map("^".__add__))
+_sides = st.lists(st.tuples(_numerals, _counts).map("".join), min_size=1, max_size=3).map(" ".join)
+_pair_texts = _strayed(st.tuples(_sides, _sides).map(" | ".join))
+_step_texts = _strayed(
+    st.lists(
+        st.tuples(_numerals, st.just(","), _numerals, _counts).map("".join), min_size=1, max_size=3
+    ).map(";".join)
+)
+_json_sides = st.lists(
+    st.tuples(_limit_numerals, _limit_numerals).map(",".join).map("[{}]".format), min_size=1, max_size=3
+).map(",".join)
+_json_texts = _strayed(st.tuples(_json_sides, _json_sides).map(lambda t: '{"A":[%s],"B":[%s]}' % t))
+
+
+def _one_short_line(err: str) -> None:
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1 and len(err.encode("utf-8", "backslashreplace")) <= 300
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["check", "--product", "--chain"]), _pair_texts, _step_texts)
+def test_any_pair_or_step_text_ends_on_one_short_line(command, pair_text, steps):
+    # The pair comes after `--`, so a leading `-` stays text.
+    argv = ["check"] if command == "check" else ["derive", f"{command}={steps}"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--", pair_text])
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    _one_short_line(err.getvalue())
+
+
+@settings(deadline=None)
+@given(_json_texts)
+def test_any_json_pair_text_ends_on_one_short_line(text):
+    start = time.perf_counter()
+    try:
+        zspairs.pair_from_json(text)
+    except ValueError as e:  # FormatError and every limit error
+        _one_short_line(f"{e}\n")
+    assert time.perf_counter() - start < 2
 
 
 class TestEll:

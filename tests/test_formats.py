@@ -88,8 +88,10 @@ def test_json_rejects_bad_shapes():
         ('{"A":[[-5,1]],"B":[[1,1]]}', "value must be positive, got -5"),
         ('{"A":[[1,1]],"B":[[0,1]]}', "value must be positive, got 0"),
         ('{"A":[],"B":[[1,1]]}', "expected a multiset, got nothing"),
-        # An int of more digits than int() converts, which json.loads refuses.
+        # Ints of more than MAX_DIGITS digits, past int()'s own limit or not.
         ('{"A":[[%s,1]],"B":[[1,1]]}' % ("9" * 5000), "a number has too many digits"),
+        ('{"A":[[%s,1]],"B":[[1,1]]}' % ("9" * 4000), "a number has too many digits"),
+        ('{"A":[[1,1]],"B":[[1,-%s]]}' % ("9" * 21), "a number has too many digits"),
         # Nested past the interpreter's recursion limit.
         ("[" * 100_000, "nested too deeply"),
     ):
@@ -119,9 +121,14 @@ def test_parse_chain():
         (parse_chain, "5,2;;3,2", 4, "empty chain step"),
         (parse_chain, "5,2;0,1", 4, "chain values must be positive"),
         (parse_pair, "| 5", 0, "expected a multiset, got nothing"),
+        # A long token is quoted up to 40 characters of its repr, then cut.
+        (parse_pair, "1 | 2 " + "9" * 100 + "x", 6,
+         "expected value^count, got '" + "9" * 39 + "... (101 characters)"),
+        (parse_chain, "5,2;" + "9" * 100 + ",x", 4,
+         "expected a,b, got '" + "9" * 39 + "... (102 characters)"),
     ],
     ids=["plan-zero-value", "plan-zero-count", "plan-bad-step", "chain-empty-step",
-         "chain-zero-value", "pair-empty-side"],
+         "chain-zero-value", "pair-empty-side", "pair-long-token", "chain-long-token"],
 )
 def test_plan_chain_and_pair_errors(parse, text, column, message):
     with pytest.raises(FormatError) as exc:
