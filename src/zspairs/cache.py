@@ -34,10 +34,6 @@ def cache_dir() -> Path:
     return base / "zspairs"
 
 
-def _key(cfg: EnumConfig) -> dict:
-    return {"k": cfg.k, "mode": cfg.mode, "sum_cap": cfg.sum_cap}
-
-
 def entry_path(cfg: EnumConfig) -> Path:
     return cache_dir() / f"ell-k{cfg.k}-{cfg.mode}-cap{cfg.sum_cap}.json"
 
@@ -52,7 +48,7 @@ def load_report(cfg: EnumConfig) -> tuple[EllReport, str] | None:
         return None
     if not isinstance(data, dict):
         return None
-    if data.get("tool_version") != __version__ or data.get("key") != _key(cfg):
+    if data.get("tool_version") != __version__:
         return None
     created_at, report = data.get("created_at"), data.get("report")
     if not isinstance(created_at, str) or not isinstance(report, dict):
@@ -70,7 +66,8 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
     in survey order, are irreducible pairs of length ell within the caps."""
     try:
         witnesses = tuple(map(pair_from_obj, report["witnesses"]))
-        rebuilt = EllReport(**{**report, **_key(cfg), "witnesses": witnesses})
+        rebuilt = EllReport(**{**report, "witnesses": witnesses,
+                               "k": cfg.k, "mode": cfg.mode, "sum_cap": cfg.sum_cap})
         ell, wall_time = rebuilt.ell, rebuilt.wall_time
         counts = (ell, rebuilt.pairs_scanned, rebuilt.irreducible_count)
         order = [_survey_order(p) for p in witnesses]
@@ -99,7 +96,6 @@ def store_report(cfg: EnumConfig, report: EllReport) -> Path:
     path = entry_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {
-        "key": _key(cfg),
         "tool_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "report": report.to_obj(),

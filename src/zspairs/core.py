@@ -248,12 +248,8 @@ class ZeroSumSequence(_Value):
 
 def sequence_to_pair(seq: ZeroSumSequence) -> Pair:
     """Split a zero-sum sequence into the pair (positives, |negatives|)."""
-    pos = [t for t in seq.terms if t > 0]
-    neg = [-t for t in seq.terms if t < 0]
-    return pair_canonical(
-        normalize([(v, 1) for v in pos]),
-        normalize([(v, 1) for v in neg]),
-    )
+    pos, neg = [t for t in seq.terms if t > 0], [-t for t in seq.terms if t < 0]
+    return pair_canonical(multiset(*pos), multiset(*neg))
 
 
 def pair_to_sequence(p: Pair) -> ZeroSumSequence:
