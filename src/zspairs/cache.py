@@ -1,10 +1,12 @@
 """On-disk cache for survey reports, one JSON file per (k, mode, sum_cap).
 
-Entries are invalidated by `__version__`, and a hit is served only after
-its report is checked again: it must print exactly as the report a
-survey of its key would, rebuilt from its own values, and its counts,
-wall time and witnesses must be ones a survey could return.  An entry
-that cannot be read or parsed is a miss.
+An entry holds the version that wrote it, `created_at` and the report;
+the file name is the key, and the report's own k, mode and sum_cap must
+be the key's.  Entries are invalidated by `__version__`, and a hit is
+served only after its report is checked again: it must print exactly as
+the report a survey of its key would, rebuilt from its own values, and
+its counts, wall time and witnesses must be ones a survey could return.
+An entry that cannot be read or parsed is a miss.
 Writes go through a temporary file plus rename so readers never see a
 torn entry.  The directory defaults to the user cache dir and can be
 overridden with the ZSPAIRS_CACHE_DIR environment variable.

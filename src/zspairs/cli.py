@@ -175,13 +175,43 @@ def _add_survey_arguments(parser: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """Help and version text that cannot be written fail the run: argparse
     drops an OSError from any message.  Messages to stderr keep that, so
-    a usage error still exits 2."""
+    a usage error still exits 2.  Where argparse echoes an argument in a
+    usage error, it is quoted as `_quoted` quotes a token: at most 40
+    characters, marked when cut."""
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
         else:
             super()._print_message(message, file)
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_quoted(value)} (choose from {choices})")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
+        return args
+
+    def error(self, message):
+        # The two echoes argparse builds inside methods too long to replace:
+        # a value given to a flag that takes none, and an abbreviation that
+        # several options share, given with a value.
+        if m := _IGNORED.fullmatch(message):
+            import ast  # only on this error path
+
+            message = m[1] + _quoted(ast.literal_eval(m[2]))
+        elif m := _AMBIGUOUS.fullmatch(message):
+            message = m[1] + _quoted(m[2], str) + m[3]
+        super().error(message)
+
+
+_IGNORED = re.compile(r"(argument \S+: ignored explicit argument )(.*)", re.S)
+_AMBIGUOUS = re.compile(r"(ambiguous option: )(.*)( could match --[-\w]+(?:, --[-\w]+)*)", re.S)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,9 +56,9 @@ def _json_int(text: str) -> int:
 _LONG_DIGITS = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")
 
 
-def _quoted(token: str) -> str:
-    """A token as repr prints it, cut after 40 characters and then marked."""
-    text = repr(token)
+def _quoted(token: str, quote=repr) -> str:
+    """A token as `quote` prints it, cut after 40 characters and then marked."""
+    text = quote(token)
     return text if len(text) <= 40 else f"{text[:40]}... ({len(token)} characters)"
 
 

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zspairs
@@ -26,7 +26,7 @@ from zspairs import (
 from zspairs.cache import CACHE_DIR_ENV
 from zspairs.cli import build_parser, main
 from zspairs.core import MAX_CARDINALITY, MAX_SIGMA, MAX_VALUE
-from zspairs.enumeration import _MODES
+from zspairs.enumeration import _MODES, MAX_BRUTE_CAP, MAX_K
 from helpers import balanced_pairs, multisets, pair
 
 
@@ -263,6 +263,45 @@ def test_survey_numerals_are_ascii_digits(capsys, text):
     assert err.endswith(f"\nzspairs ell: error: argument k: invalid int value: {text!r}\n")
 
 
+_LONG = "b" * 100_000
+_LONG_QUOTED = f"'{'b' * 39}... (100000 characters)"
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("ell", "3", "--mode", _LONG), "zspairs ell: error: argument --mode: invalid choice: "
+         f"{_LONG_QUOTED} (choose from 'brute', 'pruned')"),
+        ((_LONG,), f"zspairs: error: argument command: invalid choice: {_LONG_QUOTED} "
+         "(choose from 'check', 'derive', 'ell', 'enumerate', 'extremal', 'selftest')"),
+        (("enumerate", "3", "--format", _LONG), "zspairs enumerate: error: argument --format: "
+         f"invalid choice: {_LONG_QUOTED} (choose from 'json', 'csv', 'plain')"),
+        (("check", "1 | 1", _LONG),
+         f"zspairs: error: unrecognized arguments: {'b' * 40}... (100000 characters)"),
+        (("ell", "3", f"--no-cache={_LONG}"),
+         f"zspairs ell: error: argument --no-cache: ignored explicit argument {_LONG_QUOTED}"),
+        (("enumerate", "3", f"--m={_LONG}"), "zspairs enumerate: error: ambiguous option: "
+         f"--m={'b' * 36}... (100004 characters) could match --mode, --min-len, --max-len"),
+        # Short values are echoed whole, as argparse words them.
+        (("ell", "3", "--mode", "bb"),
+         "zspairs ell: error: argument --mode: invalid choice: 'bb' (choose from 'brute', 'pruned')"),
+        (("check", "1 | 1", "x", "y"), "zspairs: error: unrecognized arguments: x y"),
+        (("ell", "3", "--no-cache=it's"),
+         "zspairs ell: error: argument --no-cache: ignored explicit argument \"it's\""),
+        (("enumerate", "3", "--m=x"),
+         "zspairs enumerate: error: ambiguous option: --m=x could match --mode, --min-len, --max-len"),
+    ],
+    ids=[
+        "long-mode", "long-command", "long-format", "long-extra", "long-explicit", "long-ambiguous",
+        "short-mode", "short-extra", "short-explicit", "short-ambiguous",
+    ],
+)
+def test_usage_error_quotes_at_most_40_characters_of_a_value(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\n{line}\n")
+
+
 def _strayed(texts):
     """The texts, and the texts with stray characters put in anywhere."""
     def put(t):
@@ -329,6 +368,68 @@ def test_any_json_pair_text_ends_on_one_short_line(text):
     assert time.perf_counter() - start < 2
 
 
+# Survey arguments from three pools: valid values, values at a limit, and
+# junk text, some of it a short text repeated to 100,000 characters and
+# more, some of it led by an option's prefix.
+_junk = st.one_of(
+    st.text(max_size=20),
+    st.tuples(
+        st.sampled_from(["", "-", "--", "-h", "--m=", "--no-cache="]),
+        st.text(min_size=1, max_size=3),
+        st.integers(1, 40_000),
+    ).map(lambda t: t[0] + t[1] * t[2]),
+)
+_edges = st.sampled_from(["0", "-1", "9" * 20, "1" + "0" * 20, str(MAX_K + 1)])
+_survey_values = {
+    "k": st.integers(1, MAX_K).map(str),
+    "--mode": st.sampled_from(_MODES),
+    # Mostly below 1,000, so the property stays cheap; the limit is an edge.
+    "--sum-cap": st.integers(1, 1000).map(str) | st.just(str(MAX_BRUTE_CAP)),
+    "--min-len": st.integers(1, 25).map(str),
+    "--max-len": st.integers(0, 25).map(str),
+    "--format": st.sampled_from(["plain", "json", "csv"]),
+    "--workers": st.sampled_from(["1", "2"]),
+}
+_survey_options = {
+    "ell": ["--mode", "--sum-cap", "--workers"],
+    "enumerate": ["--mode", "--sum-cap", "--min-len", "--max-len", "--format", "--workers"],
+    "extremal": ["--mode", "--sum-cap", "--format"],
+}
+
+
+def _pooled(valid):
+    # Four in six from the valid pool, so that most surveys run.
+    return st.sampled_from([valid] * 4 + [_edges, _junk]).flatmap(lambda pool: pool)
+
+
+@st.composite
+def _survey_argvs(draw):
+    command = draw(st.sampled_from(list(_survey_options)))
+    argv = [command, draw(_pooled(_survey_values["k"]))]
+    for option in _survey_options[command]:
+        if draw(st.booleans()):
+            argv += [option, draw(_pooled(_survey_values[option]))]
+    if command == "ell":
+        argv.append("--no-cache")
+    extra = draw(_pooled(st.none()))
+    return argv if extra is None else argv + [extra]
+
+
+@settings(deadline=None)
+@given(_survey_argvs())
+@example(["ell", "3", "--mode", _LONG, "--no-cache"])
+def test_any_survey_arguments_end_on_a_short_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    last = (err.getvalue().splitlines() or [""])[-1]
+    assert len(last.encode("utf-8", "backslashreplace")) <= 300
+
+
 class TestEll:
     def test_k3_brute(self, capsys):
         code, out, _ = run(capsys, "ell", "3", "--mode", "brute", "--no-cache")
@@ -375,6 +476,37 @@ class TestEll:
             f" version={data['tool_version']}"
             f" wall_time={json.loads(out1)['wall_time']}\n"
         )
+
+    def test_cache_entry_without_a_key_field_is_a_hit(self, capsys, isolated_cache):
+        # The file name finds the entry and the report's own fields are
+        # checked, so the entry restates no key.
+        _, out1, _ = run(capsys, "ell", "3")
+        entry = next(isolated_cache.glob("*.json"))
+        stored = json.loads(entry.read_text())
+        entry.write_text(json.dumps({f: v for f, v in stored.items() if f != "key"}))
+        code, out2, err = run(capsys, "ell", "3")
+        assert (code, out2) == (0, out1)
+        assert err.startswith("cache: hit ")
+        assert list(stored) == ["tool_version", "created_at", "report"]
+
+    def test_cache_entry_with_a_key_field_is_still_a_hit(self, capsys, isolated_cache):
+        # An entry as earlier versions wrote it, with the key restated.
+        report = {
+            "k": 3, "ell": 5, "witnesses": [{"A": [[3, 2]], "B": [[2, 3]]}],
+            "pairs_scanned": 232, "irreducible_count": 8, "mode": "brute", "sum_cap": 9,
+            "wall_time": 7.595300121465698e-05,
+        }
+        entry = {
+            "key": {"k": 3, "mode": "brute", "sum_cap": 9},
+            "tool_version": zspairs.__version__,
+            "created_at": "2026-10-20T10:04:58.440747+00:00",
+            "report": report,
+        }
+        isolated_cache.mkdir()
+        (isolated_cache / "ell-k3-brute-cap9.json").write_text(json.dumps(entry, indent=2))
+        code, out, err = run(capsys, "ell", "3")
+        assert (code, out) == (0, json.dumps(report, separators=(",", ":")) + "\n")
+        assert err.startswith("cache: hit ") and "created_at=2026-10-20T10:04:58" in err
 
     def test_fresh_and_cached_reports_match_the_pinned_stdout(self, capsys, isolated_cache):
         # Witnesses at sums 4, 6, 6 and 8: the order across sums and
@@ -461,8 +593,10 @@ class TestEll:
             lambda r: r | {"ell": 99, "witnesses": []},
             # A witness of the right length and range that is reducible.
             lambda r: r | {"witnesses": [{"A": [[3, 1], [1, 1]], "B": [[2, 1], [1, 2]]}]},
-            # A report computed under another sum cap.
+            # A report computed under another key.
             lambda r: r | {"sum_cap": 4},
+            lambda r: r | {"k": 4},
+            lambda r: r | {"mode": "pruned"},
             lambda r: r | {"ell": 5.0},
             lambda r: r | {"witnesses": [{"A": [[3, 0]], "B": [[2, 3]]}]},
             lambda r: r | {"pairs_scanned": "x"},
@@ -482,6 +616,8 @@ class TestEll:
             "inflated-ell",
             "reducible-witness",
             "sum-cap-mismatch",
+            "k-mismatch",
+            "mode-mismatch",
             "float-ell",
             "bad-witness",
             "bad-count",

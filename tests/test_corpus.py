@@ -241,7 +241,7 @@ _DIGESTS = {
     "version": "c645c0c5c4e51fbb38d41e477022d5713339ab545b394accec8f9c0655de51a1",
     "errors": "ab6bd5f9f07a3d1b008c328bf87b0e9acbeb96aaf6ee38039038380aa244ce11",
     "usage": "56e5c51a19b082f3dd90aa0d19b10bf17b9cbf0681862ce57e01a74f90c48e2d",
-    "usage-long": "10a6e93da1c4f727248d5dfd6eb3e522f2daa00b80346755adef34a344192069",
+    "usage-long": "23a5e2425c66f9f214c76f63e0edd0706f28b9c7c934d1b405de5d8cb656db40",
 }
 
 
