@@ -10,21 +10,21 @@ overlapping ranges.
 Neither mode builds candidates: one search grows both sides of a pair
 at once, from a stack, for every sum in one pass.  A pair is
 irreducible iff the interior subset sums of its sides, those in 1..S-1,
-are disjoint.  Each side gains elements in descending order, and the
-side with the smaller partial sum is the one extended.  A pair of
-prefixes whose subset sums share a positive value is dropped: subset
-sums only gain bits as a prefix grows, and the shared value is at most
-the smaller partial sum, so it lies below the larger one and is interior
-to every completion.  Equal partial sums end the pair: it is recorded at
-that sum if only the sum itself is shared, and dropped otherwise.  Every
-irreducible pair other than v | v has sides with distinct maxima (equal
-maxima are a shared sum, interior unless both sides are {v}), so B's
-first element is below A's, A being the side earlier in candidate
-order.  Given a pair's sides, the order in which the search adds their
-elements is forced, and no prefix of an irreducible pair is dropped, so
-the search reaches each irreducible pair exactly once and needs no
-seen-set.  A survey runs the search once, in `_scan_all`, and reads each
-sum off its own result, so no survey shares state with another.
+are disjoint.  The stack starts with one seed per top value v, the
+empty side against {v}, and one rule grows every entry: the side with
+the smaller partial sum gains elements in descending order, none above
+its last one (v for the empty side).  A pair of prefixes whose subset
+sums share a positive value is dropped: subset sums only gain bits as a
+prefix grows, and the shared value is at most the smaller partial sum,
+so it lies below the larger one and is interior to every completion.
+Equal partial sums end the pair: it is recorded at that sum if only the
+sum itself is shared, and dropped otherwise.  Seed v completes v | v;
+any other irreducible pair holds its top value v on one side only
+(equal maxima are a shared sum, interior unless both sides are {v}),
+and grows from seed v in a forced order that drops no prefix.  So the
+search reaches each irreducible pair once, with no seen-set.  A survey
+runs it once, in `_scan_all`, and reads each sum off its own result, so
+no survey shares state with another.
 
 A side is carried as one int, its count of value v in byte v - 1, so
 extending it is one addition.  Each hit is recorded, unsorted and in no
@@ -176,35 +176,30 @@ def _search(k: int) -> dict[int, list]:
     `test_search_ends_by_itself` pins for every k <= MAX_K.  The packing
     holds while k <= 128.
 
-    A stack entry is (x, X's last element, X, X's subset sums, y, Y's
-    last element, Y, Y's subset sums, the pair's length) for the
-    lighter side X of sum x < y, which gains the next element e, at
-    most its last one.  The entries come off the stack having no shared
-    positive sum, so only X's sums shifted by e can meet Y's."""
+    A stack entry is (x, X's bound, X, X's subset sums, y, Y's bound, Y,
+    Y's subset sums, the pair's length), a bound being the largest
+    element a side may gain: its last one, or v for seed v's empty side.
+    Off the stack, the lighter side is swapped into X, which gains each
+    e up to its bound.  The entries popped have no shared positive sum,
+    so only X's sums shifted by e can meet Y's."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
     found: dict[int, list] = defaultdict(list)
-    stack = []
-    for v in range(1, k + 1):
-        side = one[v]
-        found[v] = [(2, side, side)]
-        stack += [(e, e, one[e], 1 | 1 << e, v, v, side, 1 | 1 << v, 2) for e in range(1, v)]
+    stack = [(0, v, 0, 1, v, v, one[v], 1 | 1 << v, 1) for v in range(1, k + 1)]
     while stack:
         x, last, side_x, sums_x, y, last_y, side_y, sums_y, n = stack.pop()
+        if x > y:
+            x, last, side_x, sums_x, y, last_y, side_y, sums_y = (
+                y, last_y, side_y, sums_y, x, last, side_x, sums_x)
         n += 1
         d = y - x
-        if d <= last:
-            # Adding d completes the pair at sum y, and needs no test: if
-            # a + d = b for a in X's sums and b < y in Y's, then
-            # x - a = y - b > 0 is a shared sum of this entry, and the
-            # entries popped have none.
-            found[y].append((n, side_x + one[d], side_y))
-            for e in range(d + 1, last + 1):
-                shifted = sums_x << e
-                if not shifted & sums_y:
-                    stack.append((y, last_y, side_y, sums_y,
-                                  x + e, e, side_x + one[e], sums_x | shifted, n))
-            last = d - 1
         for e in range(1, last + 1):
+            if e == d:
+                # Adding d completes the pair at sum y, and needs no test:
+                # if a + d = b for a in X's sums and b < y in Y's, then
+                # x - a = y - b > 0 is a shared sum of this entry, and the
+                # entries popped have none.
+                found[y].append((n, side_x + one[d], side_y))
+                continue
             shifted = sums_x << e
             if not shifted & sums_y:
                 stack.append((x + e, e, side_x + one[e], sums_x | shifted,

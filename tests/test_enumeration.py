@@ -533,6 +533,48 @@ class TestScanKernel:
             if sum(c for _, c in runs[0] + runs[1]) == longest
         ] == [(k * (k - 1), (((k, k - 1),), ((k - 1, k),)))]
 
+    # sha256 over repr((sum, sorted hits)) for each sum of `_search(k)`, in
+    # sum order, each hit's sides put larger packed int first; recorded
+    # from the search before it grew every entry by one rule from one
+    # seed per top value.
+    _SEARCH_DIGESTS = {
+        1: "b55bf6fa48c119bf1bb6ea77ae62e229941804c131f0ccfde554821378328e96",
+        2: "d2f52b338a45c0014490ecca0f7d57000d42266ffd4a37fc1f12a67bebf22b30",
+        3: "653bb11cdc900c54dd9b1b18731c48113e22a298762c4fa9bc008620351665eb",
+        4: "edf5a4248c51d327df1accbd3e4c2eafbaef246befbca70577a90250455292e8",
+        5: "bd2b345f99e4af7b270668ef11d51749baf3a00cc78539e65516fd70821a7094",
+        6: "46b1739255a6eaf7224538c0183bbda758f3d9538ed573589497d54584bb5511",
+        7: "63ce2c98d9a93f9f15f6e3df60f13334f14400185f4d5f257ef0ff3ea767dd0c",
+        8: "f2626ef63e28e0c72433d1b3f228b663c912a1fc41932dbfed66282af141790e",
+        9: "911d2759e13fad78c4524a8fc87d52c7ed1ca14880d7b2a9623e24eb88633e9d",
+        10: "33ef1617ab10ab76427fc9719fe869b6b28752f0b5137342be58a1e9d72736e7",
+        11: "505e3ab9a9de9760ead529adb8e1e0446aef666756e79eeddd16eb48a6e83016",
+        12: "ac0070b9afe61f0cffc5b1ef41943cc68d27586185ad5ae9c81915a488a072b8",
+    }
+
+    @pytest.mark.parametrize("k", list(_SEARCH_DIGESTS))
+    def test_search_hits_match_recorded_digest(self, k):
+        found = enumeration._search(k)
+        h = hashlib.sha256()
+        for total in sorted(found):
+            hits = sorted((n, max(a, b), min(a, b)) for n, a, b in found[total])
+            h.update(repr((total, hits)).encode())
+        assert h.hexdigest() == self._SEARCH_DIGESTS[k]
+
+    @pytest.mark.parametrize("k", range(2, enumeration.MAX_K + 1))
+    def test_search_nests_across_k(self, k):
+        # Seed v adds no value above v, so the search for k - 1 is the
+        # search for k without the hits that hold k.
+        below = 1 << 8 * (k - 1)  # the packed side {k}
+        nested = {
+            total: sorted(hit for hit in hits if hit[1] < below and hit[2] < below)
+            for total, hits in enumeration._search(k).items()
+        }
+        smaller = enumeration._search(k - 1)
+        assert {total: hits for total, hits in nested.items() if hits} == {
+            total: sorted(hits) for total, hits in smaller.items()
+        }
+
     @pytest.mark.parametrize(
         "k,cap",
         [(k, cap) for k in range(2, 9) for cap in sorted({1, k, 2 * k, k * (k - 1) - 1})]
