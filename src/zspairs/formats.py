@@ -57,8 +57,9 @@ _LONG_DIGITS = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")
 
 
 def _quoted(token: str, quote=repr) -> str:
-    """A token as `quote` prints it, cut after 40 characters and then marked."""
-    text = quote(token)
+    """A token as `quote` prints it, or as `repr` if a character is not
+    printable, cut after 40 characters and then marked."""
+    text = quote(token) if token.isprintable() else repr(token)
     return text if len(text) <= 40 else f"{text[:40]}... ({len(token)} characters)"
 
 

@@ -418,6 +418,9 @@ def _survey_argvs(draw):
 @settings(deadline=None)
 @given(_survey_argvs())
 @example(["ell", "3", "--mode", _LONG, "--no-cache"])
+# Echoes argparse prints as typed, with a newline and a terminal escape.
+@example(["check", "1 | 1", "a\nb\x1b[2J"])
+@example(["enumerate", "3", "--m=a\nb"])
 def test_any_survey_arguments_end_on_a_short_line(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -426,8 +429,12 @@ def test_any_survey_arguments_end_on_a_short_line(argv):
     assert time.perf_counter() - start < 2
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    last = (err.getvalue().splitlines() or [""])[-1]
-    assert len(last.encode("utf-8", "backslashreplace")) <= 300
+    lines = err.getvalue().splitlines() or [""]
+    assert all(line.isprintable() for line in lines)
+    if code == 2:
+        errors = [i for i, line in enumerate(lines) if re.match(r"zspairs( \w+)?: error: ", line)]
+        assert errors == [len(lines) - 1]
+    assert len(lines[-1].encode("utf-8", "backslashreplace")) <= 300
 
 
 class TestEll:

@@ -185,7 +185,8 @@ def _error_commands() -> list[tuple[str, ...]]:
 
 
 def _usage_commands() -> list[tuple[str, ...]]:
-    """Usage errors with short values, and a bare command line."""
+    """Usage errors with short values, two of them echoing a newline and
+    an escape, and a bare command line."""
     return [
         (),
         ("nonsense",),
@@ -201,6 +202,8 @@ def _usage_commands() -> list[tuple[str, ...]]:
         ("derive", "5^2 | 2^5", "--product", "5,2", "--chain", "5,2"),
         ("enumerate", "3", "--min-len", "1.5"),
         ("ell", "+3"),
+        ("check", "1 | 1", "a\nb\x1b[2J"),
+        ("enumerate", "3", "--m=a\nb"),
     ]
 
 
@@ -240,7 +243,7 @@ _DIGESTS = {
     "derive": "909d63adcb626c6b57f42ca36e62f3798d7d2e8e2bc6fefd49ac26f26d6b39f9",
     "version": "c645c0c5c4e51fbb38d41e477022d5713339ab545b394accec8f9c0655de51a1",
     "errors": "ab6bd5f9f07a3d1b008c328bf87b0e9acbeb96aaf6ee38039038380aa244ce11",
-    "usage": "56e5c51a19b082f3dd90aa0d19b10bf17b9cbf0681862ce57e01a74f90c48e2d",
+    "usage": "8a7eeabb71ea2c2bc3985d9c57b82790fab9da9099bae2d95672bb3e911a8f36",
     "usage-long": "23a5e2425c66f9f214c76f63e0edd0706f28b9c7c934d1b405de5d8cb656db40",
 }
 
