@@ -20,7 +20,6 @@ from .derivation import DerivationError, DerivationPlan, derive_chain, derive_pr
 from .enumeration import (
     _MODES,
     EnumConfig,
-    check_workers,
     compute_ell,
     enumerate_irreducible,
     extremal_pairs,
@@ -70,12 +69,18 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_workers(workers: int) -> None:
+    """Refuse a count below one; any other changes nothing."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def cmd_ell(args: argparse.Namespace) -> int:
     cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
     # Refused before the lookup, so a cached entry cannot mask a bad count.
-    check_workers(args.workers)
+    _check_workers(args.workers)
     cached = None if args.no_cache else load_report(cfg)
-    report = cached[0] if cached else compute_ell(cfg, workers=args.workers)
+    report = cached[0] if cached else compute_ell(cfg)
     print(json.dumps(report.to_obj(), separators=(",", ":")))
     if cached:
         # Provenance: the wall_time in the report is the original run's.
@@ -117,7 +122,8 @@ def _emit_pairs(pairs, fmt: str, k: int) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = EnumConfig(k=args.k, sum_cap=args.sum_cap, mode=args.mode)
-    pairs = enumerate_irreducible(cfg, args.workers, (args.min_len, args.max_len))
+    pairs = enumerate_irreducible(cfg, (args.min_len, args.max_len))  # refuses a bad window
+    _check_workers(args.workers)
     _emit_pairs(pairs, args.format, args.k)
     return 0
 

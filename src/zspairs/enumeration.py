@@ -1,11 +1,11 @@
 """Exhaustive and pruned search over irreducible pairs.
 
-The survey runs sum by sum: for each common sum S up to a cap, every
-unordered pair of same-sum multisets with values in [1, k] is a
-candidate.  Brute mode decides them all and consults no structural
-theorem, so whatever it reports about maximum lengths is discovered, not
-assumed; it is the oracle pruned mode is validated against on
-overlapping ranges.
+Both modes read one search, which uses no structural theorem and ends
+by itself (at sum k(k-1) for k >= 2), so a survey's maximum length is
+discovered, not assumed.  The modes differ only in the sums a survey
+reads and in what m counts (below), so neither checks the other; the
+independent references are `is_irreducible_naive` and, in tests/,
+`scan_sum_reference` (all pairs) and `_reverse_search`.
 
 Neither mode builds candidates: one search grows both sides of a pair
 at once, from a stack, for every sum in one pass.  A pair is
@@ -57,10 +57,10 @@ The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
 Both modes take k up to MAX_K, and brute mode a cap up to MAX_BRUTE_CAP;
 past either, making the config raises ResourceLimitError.
-Every survey runs in the calling process, sum by sum in S order.  The
-worker count is checked but changes nothing: starting a process pool
-(about 10 ms on 2 vCPUs) cost more than it saved on every shipped brute
-survey, and pruned surveys run the same search.
+Every survey runs in the calling process, sum by sum in S order, and
+takes no worker count: starting a process pool (about 10 ms on 2 vCPUs)
+cost more than it saved on every shipped brute survey, and pruned
+surveys run the same search.
 """
 
 from __future__ import annotations
@@ -256,50 +256,42 @@ def _box_counts(k: int, top: int, length: int) -> list[int]:
 
 
 def _scan_task(args: tuple[dict, list[int], int]):
-    """One sum of a survey: `_scan_sum` on a (found, counts, total) task."""
+    """Called nowhere here: perfbench/tracing.py patches this name."""
     return _scan_sum(*args)
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a worker count below one."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _scan_all(cfg: EnumConfig, workers: int):
     """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Both modes read one search of k alone, run in
-    this process, sum by sum; pruned mode counts only candidates of at
-    most k elements.  The worker count is checked and the search run
-    when this is called, before any sum is read."""
-    check_workers(workers)
+    of size at most k.  Both modes read one search of k alone, run when
+    this is called; pruned mode counts only candidates of at most k
+    elements.  `workers` is not read: perfbench/tracing.py's wrapper
+    takes it and forwards it."""
     k, brute = cfg.k, cfg.mode == "brute"
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
     found = _search(k)
     counts = _box_counts(k, top, top if brute else k)
-    return map(_scan_task, ((found, counts, S) for S in range(1, top + 1)))
+    return (_scan_sum(found, counts, S) for S in range(1, top + 1))
 
 
-def enumerate_irreducible(cfg: EnumConfig, workers: int = 1,
+def enumerate_irreducible(cfg: EnumConfig,
                           length_window: tuple[int, float] = (1, float("inf"))) -> Iterator[Pair]:
     """Every k-irreducible pair with common sum <= sum_cap and length in
     the inclusive window (lo, hi), exactly once, in a fixed order: by
-    sum, then by descending-lexicographic position of A, then of B."""
+    sum, then by descending-lexicographic position of A, then of B.  The
+    window is checked, and the search run, when this is called."""
     lo, hi = length_window
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length window ({lo}, {hi})")
-    # The outermost iterable of a generator expression is evaluated now,
-    # so a bad worker count fails here rather than mid-stream.
     return (
         p
-        for hits, _ in _scan_all(cfg, workers)
+        for hits, _ in _scan_all(cfg, 1)
         if hits
         for p in _pairs([hit for hit in hits if lo <= hit[0] <= hi])
     )
 
 
-def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
+def compute_ell(cfg: EnumConfig) -> EllReport:
     """Survey the maximum pair length within the configured caps.
 
     The returned report carries the mode and sum cap, so the value is
@@ -312,7 +304,7 @@ def compute_ell(cfg: EnumConfig, workers: int = 1) -> EllReport:
     longest = []  # the hits of length ell
     scanned = 0
     irreducible = 0
-    for hits, sc in _scan_all(cfg, workers):
+    for hits, sc in _scan_all(cfg, 1):
         scanned += sc
         irreducible += len(hits)
         for hit in hits:

@@ -164,9 +164,9 @@ def is_irreducible(p: Pair) -> bool:
     """True iff the pair is irreducible.
 
     Unbalanced pairs are not irreducible by definition (the sums must
-    agree), so they report False rather than raising; enumeration code
-    filters uniformly on the result.  Raises ResourceLimitError when the
-    pair needs a search fold over the work budget.
+    agree), so they report False rather than raising.  Raises
+    ResourceLimitError when the pair needs a search fold over the work
+    budget.
     """
     if not p.balanced:
         return False

@@ -757,9 +757,7 @@ class TestEnumerate:
 
     def test_workers_below_one(self, capsys):
         code, out, err = run(capsys, "enumerate", "3", "--format", "csv", "--workers", "-1")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: workers must be at least 1")
+        assert (code, out, err) == (1, "", "error: workers must be at least 1, got -1\n")
 
 
 class TestExtremal:

@@ -22,10 +22,12 @@ from zspairs import (
     enumerate_multisets,
     extremal_construction,
     extremal_pairs,
+    format_pair,
     is_irreducible_naive,
     pair_to_json,
     verify_theorem_bounds,
 )
+from zspairs.cli import main
 from zspairs.core import Multiset, Pair, pair_canonical
 from helpers import ms, pair, scan_sum_reference, subset_sums_reference
 
@@ -648,12 +650,14 @@ class TestScanKernel:
         # Both modes run one search, which takes k alone, and one count
         # DP, which bounds the candidates to `most` elements: the cap in
         # brute mode, where it bounds nothing, and k in pruned.
-        calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts")
+        calls = self._counting(monkeypatch, "_search", "_scan_sum", "_box_counts", "_scan_task")
         report = compute_ell(EnumConfig(k=k, sum_cap=cap, mode=mode))
         assert report.ell == max(2, 2 * k - 1)
         most = cap if mode == "brute" else k
         assert calls["_search"] == [(k,)]
+        # Each sum is read by one direct `_scan_sum` call, with no task hop.
         assert [total for _, _, total in calls["_scan_sum"]] == list(range(1, cap + 1))
+        assert calls["_scan_task"] == []
         # Every sum reads the one search's results.
         assert len({(id(found), id(counts)) for found, counts, _ in calls["_scan_sum"]}) == 1
         assert calls["_box_counts"] == [(k, cap, most)]
@@ -696,52 +700,68 @@ def test_keeps_the_names_the_tracer_patches(name):
 
 
 class TestWorkerCount:
-    # A survey's output never depends on the worker count, in either mode.
+    # A survey takes no worker count.  The command line still takes
+    # `--workers`, refuses a count below one, and ignores any other.
+    @staticmethod
+    def _run(capsys, *argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
     @pytest.mark.parametrize(
-        "cfg",
-        [EnumConfig(k=3, sum_cap=10), EnumConfig(k=5, mode="pruned")],
+        "cfg,argv",
+        [(EnumConfig(k=3, sum_cap=10), ("3", "--sum-cap", "10")),
+         (EnumConfig(k=5, mode="pruned"), ("5", "--mode", "pruned"))],
         ids=["brute-3-cap10", "pruned-5"],
     )
-    def test_uneven_blocks_do_not_change_output(self, cfg):
-        reports = {
-            w: _timeless(compute_ell(cfg, workers=w)) for w in (1, 2, 3)
-        }
-        streams = {w: list(enumerate_irreducible(cfg, workers=w)) for w in (1, 2, 3)}
-        assert reports[1].ell > 0 and streams[1]
-        assert reports[2] == reports[1] and reports[3] == reports[1]
-        assert streams[2] == streams[1] and streams[3] == streams[1]
+    def test_uneven_blocks_do_not_change_output(self, capsys, cfg, argv):
+        runs = {w: self._run(capsys, "enumerate", *argv, "--workers", str(w)) for w in (1, 2, 3)}
+        listing = "".join(format_pair(p) + "\n" for p in enumerate_irreducible(cfg))
+        assert listing and runs[1] == (0, listing, "")
+        assert runs[2] == runs[1] and runs[3] == runs[1]
 
-    def test_rejects_fewer_than_one(self):
-        # The scan itself refuses the count, naming it, before any sum.
+    def test_rejects_fewer_than_one(self, capsys):
+        # The count is refused by name, before any pair is printed.
         for mode in ("brute", "pruned"):
-            for bad in (0, -3):
-                with pytest.raises(ValueError, match=f"at least 1, got {bad}$"):
-                    enumeration._scan_all(EnumConfig(k=3, mode=mode), bad)
+            for bad in ("0", "-3"):
+                assert self._run(capsys, "enumerate", "2", "--mode", mode, "--workers", bad) == (
+                    1, "", f"error: workers must be at least 1, got {bad}\n")
 
-    def test_bad_count_fails_before_streaming(self):
+    def test_bad_count_fails_before_streaming(self, capsys):
+        # `ell` refuses the count before it surveys; the library has no
+        # count to refuse.
         for mode in ("brute", "pruned"):
             cfg = EnumConfig(k=2, mode=mode)
-            for bad in (0, -3):
-                with pytest.raises(ValueError, match="workers must be at least 1"):
-                    enumerate_irreducible(cfg, workers=bad)
-                with pytest.raises(ValueError, match="workers must be at least 1"):
-                    compute_ell(cfg, workers=bad)
+            for bad in ("0", "-3"):
+                argv = ("ell", "2", "--mode", mode, "--no-cache", "--workers", bad)
+                assert self._run(capsys, *argv) == (
+                    1, "", f"error: workers must be at least 1, got {bad}\n")
+            with pytest.raises(TypeError):
+                compute_ell(cfg, workers=1)
+            with pytest.raises(TypeError):
+                enumerate_irreducible(cfg, workers=1)
 
     @pytest.mark.parametrize(
-        "cfg",
-        [EnumConfig(k=4), EnumConfig(k=5, mode="pruned")],
+        "cfg,argv",
+        [(EnumConfig(k=4), ("4",)), (EnumConfig(k=5, mode="pruned"), ("5", "--mode", "pruned"))],
         ids=["brute-4", "pruned-5"],
     )
-    def test_no_survey_forks(self, monkeypatch, cfg):
-        # Every survey runs in this process at any worker count.
+    def test_no_survey_forks(self, monkeypatch, capsys, cfg, argv):
+        # Every survey runs in this process, at any count.
         def no_fork():
             raise AssertionError("a survey forked")
 
-        serial = _timeless(compute_ell(cfg, workers=1))
-        stream = list(enumerate_irreducible(cfg, workers=1))
+        def ell(workers):
+            code, out, err = self._run(capsys, "ell", *argv, "--no-cache", "--workers", workers)
+            return code, json.loads(out) | {"wall_time": 0}, err
+
+        report = _timeless(compute_ell(cfg))
+        stream = list(enumerate_irreducible(cfg))
+        serial = ell("1"), self._run(capsys, "enumerate", *argv, "--workers", "1")
         monkeypatch.setattr(os, "fork", no_fork)
-        assert _timeless(compute_ell(cfg, workers=4)) == serial
-        assert list(enumerate_irreducible(cfg, workers=4)) == stream
+        assert _timeless(compute_ell(cfg)) == report
+        assert list(enumerate_irreducible(cfg)) == stream
+        assert (ell("4"), self._run(capsys, "enumerate", *argv, "--workers", "4")) == serial
 
 
 class TestSurveyBudget:
