@@ -512,10 +512,15 @@ class TestScanKernel:
             ]
             assert item[0] == bounded, total
 
-    # Hits of the search for k = 1..12, at every sum.
-    _SEARCH_HITS = (1, 3, 8, 19, 52, 108, 283, 586, 1270, 2475, 5373, 9297)
+    # Hits of the search for k = 1..16, at every sum.  `_search` takes k
+    # alone and checks no limit, so k = 13..16, past MAX_K, are called
+    # directly.
+    _SEARCH_HITS = (
+        1, 3, 8, 19, 52, 108, 283, 586, 1270, 2475, 5373, 9297,
+        18913, 33283, 58186, 99344,
+    )
 
-    @pytest.mark.parametrize("k", range(1, enumeration.MAX_K + 1))
+    @pytest.mark.parametrize("k", range(1, len(_SEARCH_HITS) + 1))
     def test_search_ends_by_itself(self, k):
         # The search takes no bound but k, so it finds every irreducible
         # pair over [1, k]: none past sum k(k-1), and for k >= 2 only
@@ -531,14 +536,14 @@ class TestScanKernel:
         assert [
             (total, runs)
             for total, hits in found.items()
-            for runs in _candidate_order(hits)
-            if sum(c for _, c in runs[0] + runs[1]) == longest
+            for runs in _candidate_order([hit for hit in hits if hit[0] == longest])
         ] == [(k * (k - 1), (((k, k - 1),), ((k - 1, k),)))]
 
     # sha256 over repr((sum, sorted hits)) for each sum of `_search(k)`, in
-    # sum order, each hit's sides put larger packed int first; recorded
-    # from the search before it grew every entry by one rule from one
-    # seed per top value.
+    # sum order, each hit's sides put larger packed int first.  k <= 12
+    # were recorded from the search before it grew every entry by one
+    # rule from one seed per top value, and k = 13..16 from the search
+    # that carried both sides' subset sums in each entry.
     _SEARCH_DIGESTS = {
         1: "b55bf6fa48c119bf1bb6ea77ae62e229941804c131f0ccfde554821378328e96",
         2: "d2f52b338a45c0014490ecca0f7d57000d42266ffd4a37fc1f12a67bebf22b30",
@@ -552,6 +557,10 @@ class TestScanKernel:
         10: "33ef1617ab10ab76427fc9719fe869b6b28752f0b5137342be58a1e9d72736e7",
         11: "505e3ab9a9de9760ead529adb8e1e0446aef666756e79eeddd16eb48a6e83016",
         12: "ac0070b9afe61f0cffc5b1ef41943cc68d27586185ad5ae9c81915a488a072b8",
+        13: "482340f0e6370b41db0c0cdc1c09df619bf435b8f2a38f085c8b1aa1948b1142",
+        14: "6fcd853290163f58db48b9795c7557a2df1ed779fa8ff9183dfe171e366e0e35",
+        15: "410e29cadcba0dc6bd069982d59dcb29b01b8db64ca056570fb9d40774fc3c61",
+        16: "9030310aacbd1c54df8e91b36ba56528924e97f4ae07da9897bb8ebc85d34823",
     }
 
     @pytest.mark.parametrize("k", list(_SEARCH_DIGESTS))
