@@ -13,18 +13,24 @@ irreducible iff the interior subset sums of its sides, those in 1..S-1,
 are disjoint.  The stack starts with one seed per top value v, the
 empty side against {v}, and one rule grows every entry: the side with
 the smaller partial sum gains elements in descending order, none above
-its last one (v for the empty side).  A pair of prefixes whose subset
-sums share a positive value is dropped: subset sums only gain bits as a
-prefix grows, and the shared value is at most the smaller partial sum,
-so it lies below the larger one and is interior to every completion.
-Equal partial sums end the pair: it is recorded at that sum if only the
-sum itself is shared, and dropped otherwise.  Seed v completes v | v;
-any other irreducible pair holds its top value v on one side only
-(equal maxima are a shared sum, interior unless both sides are {v}),
-and grows from seed v in a forced order that drops no prefix.  So the
-search reaches each irreducible pair once, with no seen-set.  A survey
-runs it once, in `_scan_all`, and reads each sum off its own result, so
-no survey shares state with another.
+its last one (v for the empty side).  Each entry carries one
+difference set, bit b - a + x for each subset sum a of one side (of
+partial sum x) and b of the other, and neither side is ever swapped.
+Adding e to a side ORs the set with itself shifted by e, and shares a
+positive sum iff one bit is set, x + e or x - e by side.  Such a child
+is dropped: subset sums only gain values as a prefix grows, and the
+shared value is at most the smaller partial sum, so it lies below the
+larger one and is interior to every completion.  So the children kept
+are the clear bits of one window of the set.  Equal partial sums end
+the pair, which is recorded at that sum untested: its bit is set by the
+two whole sides, and any other pair of sums behind it would leave a
+shared positive sum in its parent.  Seed v completes v | v; any other
+irreducible pair holds its top value v on one side only (equal maxima
+are a shared sum, interior unless both sides are {v}), and grows from
+seed v in a forced order that drops no prefix.  So the search reaches
+each irreducible pair once, with no seen-set.  A survey runs it once,
+in `_scan_all`, and reads each sum off its own result, so no survey
+shares state with another.
 
 A side is carried as one int, its count of value v in byte v - 1, so
 extending it is one addition.  Each hit is recorded, unsorted and in no
@@ -170,40 +176,54 @@ def _search(k: int) -> dict[int, list]:
 
     A side is one int holding its count of each value v in byte v - 1,
     so extending it by e adds `one[e]`.  No count reaches 256, which
-    needs a pair of at least 257 elements: each entry X | Y completes to
-    the irreducible pair X + {y - x} | Y (the comment on the completing
-    child says why), no longer than the longest hit, 2k - 1 as
+    needs a pair of at least 257 elements: each entry completes to an
+    irreducible pair, its lighter side gaining |sa - sb| (the comment on
+    the completing child says why), no longer than the longest hit, 2k - 1 as
     `test_search_ends_by_itself` pins for every k <= MAX_K.  The packing
     holds while k <= 128.
 
-    A stack entry is (x, X's bound, X, X's subset sums, y, Y's bound, Y,
-    Y's subset sums, the pair's length), a bound being the largest
-    element a side may gain: its last one, or v for seed v's empty side.
-    Off the stack, the lighter side is swapped into X, which gains each
-    e up to its bound.  The entries popped have no shared positive sum,
-    so only X's sums shifted by e can meet Y's."""
+    A stack entry is (sa, A's bound, A, sb, B's bound, B, D, the pair's
+    length): sa and sb are the sides' partial sums, a bound is the
+    largest element a side may gain (its last one, or v for seed v's
+    empty side A), and D (`diffs`) has bit b - a + sa set for each
+    subset sum a of A and b of B.  Adding e to either side gives D | D << e.  The entries
+    popped share no positive sum, so adding e to A shares one (b = a + e)
+    iff bit sa + e is set, and adding e to B (a = b + e) iff bit sa - e
+    is.  The lighter side's valid children are thus the clear bits of
+    one shifted window of D, and a rejected child costs nothing.  Neither
+    side is swapped: when B is lighter, its bound is at most sb < sa,
+    since only the empty side's bound exceeds its sum, so the window
+    starts at sa - lb > 0 and is read reversed."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
+    low = [(1 << e) - 1 for e in range(k + 1)]
     found: dict[int, list] = defaultdict(list)
-    stack = [(0, v, 0, 1, v, v, one[v], 1 | 1 << v, 1) for v in range(1, k + 1)]
+    stack = [(0, v, 0, v, v, one[v], 1 | 1 << v, 1) for v in range(1, k + 1)]
     while stack:
-        x, last, side_x, sums_x, y, last_y, side_y, sums_y, n = stack.pop()
-        if x > y:
-            x, last, side_x, sums_x, y, last_y, side_y, sums_y = (
-                y, last_y, side_y, sums_y, x, last, side_x, sums_x)
+        sa, la, side_a, sb, lb, side_b, diffs, n = stack.pop()
         n += 1
-        d = y - x
-        for e in range(1, last + 1):
-            if e == d:
-                # Adding d completes the pair at sum y, and needs no test:
-                # if a + d = b for a in X's sums and b < y in Y's, then
-                # x - a = y - b > 0 is a shared sum of this entry, and the
-                # entries popped have none.
-                found[y].append((n, side_x + one[d], side_y))
-                continue
-            shifted = sums_x << e
-            if not shifted & sums_y:
-                stack.append((x + e, e, side_x + one[e], sums_x | shifted,
-                              y, last_y, side_y, sums_y, n))
+        # The child completing the pair, adding d = |sa - sb| to the
+        # lighter side, has its bit, sb, set by a = sa and b = sb: it is
+        # never pushed, and is recorded untested.  Any other a, b with
+        # b - a = sb - sa has b < sb, and then sa - a = sb - b > 0 is a
+        # shared sum of this entry, which has none.
+        if sa < sb:
+            if sb - sa <= la:
+                found[sb].append((n, side_a + one[sb - sa], side_b))
+            free = ~(diffs >> sa + 1) & low[la]
+            while free:
+                bit = free & -free
+                free ^= bit
+                e = bit.bit_length()
+                stack.append((sa + e, e, side_a + one[e], sb, lb, side_b, diffs | diffs << e, n))
+        else:
+            if sa - sb <= lb:
+                found[sa].append((n, side_b + one[sa - sb], side_a))
+            free = ~(diffs >> sa - lb) & low[lb]
+            while free:
+                bit = free & -free
+                free ^= bit
+                e = lb + 1 - bit.bit_length()
+                stack.append((sa, la, side_a, sb + e, e, side_b + one[e], diffs | diffs << e, n))
     return found
 
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1036,6 +1037,27 @@ class TestTheoremBounds:
         for k in range(1, enumeration.MAX_K + 1):
             for p in enumerate_irreducible(EnumConfig(k=k)):
                 assert verify_theorem_bounds(p), p
+
+    # The general bound cell by cell, read off one search at MAX_K, which
+    # uses no theorem: cell (a, b) holds the pairs whose maxima are
+    # a >= b.  No side has more elements than the other's maximum, so no
+    # pair in the cell is longer than a + b; every coprime cell (46 at
+    # k = 12) reaches a + b, and a diagonal cell a = b > 1 holds only a | a.
+    def test_general_bound_cell_by_cell(self):
+        k = enumeration.MAX_K
+        longest = {}
+        for hits in enumeration._search(k).values():
+            for n, x, y in hits:
+                (max_x, size_x), (max_y, size_y) = (
+                    (runs[0][0], sum(c for _, c in runs)) for runs in map(_packed_runs, (x, y))
+                )
+                assert size_x <= max_y and size_y <= max_x
+                assert n == size_x + size_y
+                cell = (max(max_x, max_y), min(max_x, max_y))
+                longest[cell] = max(longest.get(cell, 0), n)
+        coprime = [(a, b) for a in range(1, k + 1) for b in range(1, a + 1) if math.gcd(a, b) == 1]
+        assert {cell: longest[cell] for cell in coprime} == {cell: sum(cell) for cell in coprime}
+        assert {a: longest[a, a] for a in range(2, k + 1)} == dict.fromkeys(range(2, k + 1), 2)
 
     def test_disjointness_of_longer_pairs(self):
         for k in range(1, enumeration.MAX_K + 1):
