@@ -14,23 +14,20 @@ are disjoint.  The stack starts with one seed per top value v, the
 empty side against {v}, and one rule grows every entry: the side with
 the smaller partial sum gains elements in descending order, none above
 its last one (v for the empty side).  Each entry carries one
-difference set, bit b - a + x for each subset sum a of one side (of
-partial sum x) and b of the other, and neither side is ever swapped.
-Adding e to a side ORs the set with itself shifted by e, and shares a
-positive sum iff one bit is set, x + e or x - e by side.  Such a child
-is dropped: subset sums only gain values as a prefix grows, and the
-shared value is at most the smaller partial sum, so it lies below the
-larger one and is interior to every completion.  So the children kept
-are the clear bits of one window of the set.  Equal partial sums end
-the pair, which is recorded at that sum untested: its bit is set by the
-two whole sides, and any other pair of sums behind it would leave a
-shared positive sum in its parent.  Seed v completes v | v; any other
-irreducible pair holds its top value v on one side only (equal maxima
-are a shared sum, interior unless both sides are {v}), and grows from
-seed v in a forced order that drops no prefix.  So the search reaches
-each irreducible pair once, with no seen-set.  A survey runs it once,
-in `_scan_all`, and reads each sum off its own result, so no survey
-shares state with another.
+difference set, bit b - a + x for each subset sum a of one side, of
+partial sum x, and b of the other; adding e to a side shares a positive
+sum iff bit x + e or x - e (by side) is set.  Such a child is dropped:
+subset sums only gain values as a prefix grows, and the shared value is
+at most the smaller partial sum, so it lies below the larger one and is
+interior to every completion.  Equal partial sums end the pair, which
+is recorded untested: its bit is set by the two whole sides, and any
+other sums that set it leave a shared positive sum in its parent.
+Seed v completes v | v; any other irreducible pair holds its top value
+v on one side only (equal maxima are a shared sum, interior unless both
+sides are {v}), and grows from seed v in a forced order that drops no
+prefix.  So the search reaches each irreducible pair once, with no
+seen-set.  A survey runs it once, in `_scan_all`, and reads each sum
+off its own result, so no survey shares state with another.
 
 A side is carried as one int, its count of value v in byte v - 1, so
 extending it is one addition.  Each hit is recorded, unsorted and in no
@@ -82,12 +79,12 @@ from .irreducibility import _fold_run
 
 # One survey limit for both modes.  The search ends on its own at sum
 # k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
-# 14-27 ms and 16.5 MB peak RSS, even at cap 1), and a larger cap adds
+# 11-12 ms and 16 MB peak RSS, even at cap 1), and a larger cap adds
 # only the count DP, O(k * cap), and one read per sum.  A brute survey at
-# MAX_BRUTE_CAP took 0.07-0.08 s at k=1 and 0.16-0.20 s at k=12, and
-# `enumerate` at k=12 0.21-0.31 s, at most 25 MB peak RSS (2 vCPUs,
-# Python 3.11.7, three rounds of best of 3).  Pruned mode reads no sum
-# above k*k, so it takes any cap.
+# MAX_BRUTE_CAP took 0.03-0.06 s at k=1 and 0.14-0.19 s at k=12, and
+# `enumerate` at k=12 0.18-0.19 s, at most 23 MB peak RSS (2 vCPUs,
+# Python 3.11.7, three rounds of best of 7, each in a fresh process).
+# Pruned mode reads no sum above k*k, so it takes any cap.
 MAX_K = 12
 MAX_BRUTE_CAP = 100_000
 
@@ -178,22 +175,20 @@ def _search(k: int) -> dict[int, list]:
     so extending it by e adds `one[e]`.  No count reaches 256, which
     needs a pair of at least 257 elements: each entry completes to an
     irreducible pair, its lighter side gaining |sa - sb| (the comment on
-    the completing child says why), no longer than the longest hit, 2k - 1 as
-    `test_search_ends_by_itself` pins for every k <= MAX_K.  The packing
-    holds while k <= 128.
+    the completing child says why), no longer than the longest hit,
+    2k - 1 as `test_search_ends_by_itself` pins for every k <= 16.
+    The packing holds while k <= 128.
 
     A stack entry is (sa, A's bound, A, sb, B's bound, B, D, the pair's
-    length): sa and sb are the sides' partial sums, a bound is the
-    largest element a side may gain (its last one, or v for seed v's
-    empty side A), and D (`diffs`) has bit b - a + sa set for each
-    subset sum a of A and b of B.  Adding e to either side gives D | D << e.  The entries
-    popped share no positive sum, so adding e to A shares one (b = a + e)
-    iff bit sa + e is set, and adding e to B (a = b + e) iff bit sa - e
-    is.  The lighter side's valid children are thus the clear bits of
-    one shifted window of D, and a rejected child costs nothing.  Neither
-    side is swapped: when B is lighter, its bound is at most sb < sa,
-    since only the empty side's bound exceeds its sum, so the window
-    starts at sa - lb > 0 and is read reversed."""
+    length), a bound being the largest element a side may gain: its last
+    one, or v for seed v's empty side A.  D (`diffs`) has bit b - a + sa
+    for each subset sum a of A and b of B, and adding e to either side
+    makes it D | D << e.  The entries popped share no positive sum, so
+    adding e to A makes one (b = a + e) iff bit sa + e is set, and to B
+    (a = b + e) iff bit sa - e is: the lighter side's children are the
+    clear bits of one window of D, and no side is swapped.  B is never
+    empty, so a lighter B's bound is at most sb < sa: its window starts
+    at sa - lb > 0, and is read from the top."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
     low = [(1 << e) - 1 for e in range(k + 1)]
     found: dict[int, list] = defaultdict(list)
@@ -201,11 +196,10 @@ def _search(k: int) -> dict[int, list]:
     while stack:
         sa, la, side_a, sb, lb, side_b, diffs, n = stack.pop()
         n += 1
-        # The child completing the pair, adding d = |sa - sb| to the
-        # lighter side, has its bit, sb, set by a = sa and b = sb: it is
-        # never pushed, and is recorded untested.  Any other a, b with
-        # b - a = sb - sa has b < sb, and then sa - a = sb - b > 0 is a
-        # shared sum of this entry, which has none.
+        # Adding d = |sa - sb| to the lighter side completes the pair.
+        # Bit sb is set by a = sa, b = sb, so d is never pushed, and it
+        # needs no test: any other a, b with b - a = sb - sa has b < sb,
+        # and sa - a = sb - b > 0 would be a shared sum of this entry.
         if sa < sb:
             if sb - sa <= la:
                 found[sb].append((n, side_a + one[sb - sa], side_b))
