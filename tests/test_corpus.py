@@ -64,6 +64,13 @@ def _enumerate_commands() -> list[tuple[str, ...]]:
             ("enumerate", "5", "--mode", mode, "--sum-cap", "12", "--min-len", "5"),
             ("enumerate", "4", "--mode", mode, "--max-len", "0"),
         ]
+    # Caps past the search's end, k(k-1): no pair lies above it.
+    commands += [
+        ("enumerate", "7", "--sum-cap", "100000"),
+        ("enumerate", "12", "--sum-cap", "100000", "--min-len", "20", "--format", "csv"),
+        ("enumerate", "12", "--sum-cap", "131", "--min-len", "21"),
+        ("enumerate", "9", "--mode", "pruned", "--sum-cap", "9" * 20),
+    ]
     return commands
 
 
@@ -75,6 +82,10 @@ def _extremal_commands() -> list[tuple[str, ...]]:
                 commands.append(("extremal", str(k), "--mode", mode, "--format", fmt))
         commands.append(("extremal", "6", "--mode", mode, "--sum-cap", "20"))
     commands += [("extremal", str(k), "--mode", "pruned") for k in range(10, _MAX_K + 1)]
+    commands += [
+        ("extremal", "12", "--sum-cap", "100000"),
+        ("extremal", "12", "--mode", "pruned", "--sum-cap", "9" * 20),
+    ]
     return commands
 
 
@@ -247,8 +258,8 @@ _GROUPS = {
 _DIGESTS = {
     "ell-brute": "c80094c08b5662026670a9b97f36d35c3c26e74b6d659220fa8db28646d66077",
     "ell-pruned": "76220fa0f129f2504f95c6acff1a344a60b8ccb2a47a4f63c8dcdfc1aa9f41eb",
-    "enumerate": "118c3d65a5f80a2d01f392f9658dc1ebf52ea16cf18b92d74baabd30f7fba686",
-    "extremal": "7e2950de7c7f057fb1d2062370fa683c818831436af8b71b90ea9da394a31c48",
+    "enumerate": "1ea87afe75fccb7fe3ab3aaa28cd4e2630c0c7d8f4b8fdbbc8b160c810ad31ce",
+    "extremal": "54944771da3259958f096af4edc9803652157d66421d636635307f53704748d5",
     "check": "782ab67ad40640214b9f1570b86b59abb6516381be578b7cc9ca8651f5426cb2",
     "derive": "909d63adcb626c6b57f42ca36e62f3798d7d2e8e2bc6fefd49ac26f26d6b39f9",
     "version": "c645c0c5c4e51fbb38d41e477022d5713339ab545b394accec8f9c0655de51a1",
