@@ -9,7 +9,8 @@ its counts, wall time and witnesses must be ones a survey could return.
 An entry that cannot be read or parsed is a miss.
 Writes go through a temporary file plus rename so readers never see a
 torn entry.  The directory defaults to the user cache dir and can be
-overridden with the ZSPAIRS_CACHE_DIR environment variable.
+overridden with the ZSPAIRS_CACHE_DIR environment variable.  With no
+home directory to default to, `cache_dir` raises OSError: no cache.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ def cache_dir() -> Path:
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
+    try:
+        base = Path(xdg) if xdg else Path.home() / ".cache"
+    except RuntimeError as e:  # no HOME and no passwd entry: no cache, not a crash
+        raise OSError(f"no cache directory: {e}") from None
     return base / "zspairs"
 
 
@@ -43,10 +47,10 @@ def entry_path(cfg: EnumConfig) -> Path:
 def load_report(cfg: EnumConfig) -> tuple[EllReport, str] | None:
     """The report cached for this exact key and this version, rebuilt by
     `_rebuilt`, and when its entry was stored; or None."""
-    path = entry_path(cfg)
+    # No cache directory, or an entry unreadable, not UTF-8, not JSON or too deep.
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError, RecursionError):  # unreadable, not UTF-8, not JSON, too deep
+        data = json.loads(entry_path(cfg).read_text())
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(data, dict):
         return None

@@ -26,7 +26,7 @@ Seed v completes v | v; any other irreducible pair holds its top value
 v on one side only (equal maxima are a shared sum, interior unless both
 sides are {v}), and grows from seed v in a forced order that drops no
 prefix.  So the search reaches each irreducible pair once, with no
-seen-set.  A survey runs it once, in `_scan_all`, and reads each sum
+seen-set.  A survey runs it once, when it is called, and reads its sums
 off its own result, so no survey shares state with another.
 
 A side is carried as one int, its count of value v in byte v - 1, so
@@ -47,7 +47,9 @@ to min(cap, k*k), the largest sum of a multiset of at most k parts, and
 counts only such multisets as its candidates.  It rests on the theorem
 that each side's cardinality is at most the other side's maximum: no
 irreducible pair lies past those bounds, so every hit it reports is one
-of the candidates it counts.
+of the candidates it counts.  No hit lies above k(k-1), below k*k, so
+`enumerate_irreducible` and `extremal_pairs` read the search up to the
+cap with no mode; only `compute_ell` counts candidates.
 
 Neither mode lists the candidates it counts: m(m+1)/2 pairs of the m
 multisets of sum S with values <= k and at most L elements (L = k in
@@ -60,10 +62,11 @@ The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
 Both modes take k up to MAX_K, and brute mode a cap up to MAX_BRUTE_CAP;
 past either, making the config raises ResourceLimitError.
-Every survey runs in the calling process, sum by sum in S order, and
-takes no worker count: starting a process pool (about 10 ms on 2 vCPUs)
-cost more than it saved on every shipped brute survey, and pruned
-surveys run the same search.
+Every survey runs in the calling process and takes no worker count:
+starting a process pool (about 10 ms on 2 vCPUs) cost more than it
+saved on every shipped brute survey, and pruned surveys run the same
+search.  `compute_ell` reads every sum up to its cap in S order, and
+`enumerate_irreducible` only the sums that hold hits.
 """
 
 from __future__ import annotations
@@ -79,10 +82,11 @@ from .irreducibility import _fold_run
 
 # One survey limit for both modes.  The search ends on its own at sum
 # k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
-# 11-12 ms and 16 MB peak RSS, even at cap 1), and a larger cap adds
-# only the count DP, O(k * cap), and one read per sum.  A brute survey at
-# MAX_BRUTE_CAP took 0.03-0.06 s at k=1 and 0.14-0.19 s at k=12, and
-# `enumerate` at k=12 0.18-0.19 s, at most 23 MB peak RSS (2 vCPUs,
+# 11-12 ms and 16 MB peak RSS, even at cap 1).  A larger cap adds to
+# `ell` only the count DP, O(k * cap), and one read per sum, and nothing
+# to `enumerate`, which reads only the sums that hold hits.  A brute
+# survey at MAX_BRUTE_CAP took 0.03-0.06 s at k=1 and 0.14-0.19 s at
+# k=12, and `enumerate` at k=12 0.06 s, at most 22 MB peak RSS (2 vCPUs,
 # Python 3.11.7, three rounds of best of 7, each in a fresh process).
 # Pruned mode reads no sum above k*k, so it takes any cap.
 MAX_K = 12
@@ -279,8 +283,9 @@ def _scan_all(cfg: EnumConfig, workers: int):
     pruned sums above k*k: their candidates would need more than k parts
     of size at most k.  Both modes read one search of k alone, run when
     this is called; pruned mode counts only candidates of at most k
-    elements.  `workers` is not read: perfbench/tracing.py's wrapper
-    takes it and forwards it."""
+    elements.  Its one caller is `compute_ell`, for the counts; it and
+    `_scan_sum` are also the per-sum seams perfbench/tracing.py times.
+    `workers` is not read: the tracer's wrapper takes it and forwards it."""
     k, brute = cfg.k, cfg.mode == "brute"
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
     found = _search(k)
@@ -293,16 +298,14 @@ def enumerate_irreducible(cfg: EnumConfig,
     """Every k-irreducible pair with common sum <= sum_cap and length in
     the inclusive window (lo, hi), exactly once, in a fixed order: by
     sum, then by descending-lexicographic position of A, then of B.  The
-    window is checked, and the search run, when this is called."""
+    window is checked, and the search run, when this is called; the
+    mode is not read, as no hit lies above k(k-1) < k*k."""
     lo, hi = length_window
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length window ({lo}, {hi})")
-    return (
-        p
-        for hits, _ in _scan_all(cfg, 1)
-        if hits
-        for p in _pairs([hit for hit in hits if lo <= hit[0] <= hi])
-    )
+    found = _search(cfg.k)
+    return (p for total in sorted(found) if total <= cfg.sum_cap
+            for p in _pairs([hit for hit in found[total] if lo <= hit[0] <= hi]))
 
 
 def compute_ell(cfg: EnumConfig) -> EllReport:

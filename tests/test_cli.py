@@ -552,6 +552,20 @@ class TestEll:
         assert len(lines) == 1
         assert lines[0].startswith("cache: not stored (")
 
+    def test_no_home_directory_is_an_unavailable_cache(self, capsys, monkeypatch):
+        # No HOME and a uid with no passwd entry: Path.home() raises.
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", no_home)
+        code, out, err = run(capsys, "ell", "3")
+        assert code == 0
+        _, expected, _ = run(capsys, "ell", "3", "--no-cache")
+        assert json.loads(out) | {"wall_time": 0} == json.loads(expected) | {"wall_time": 0}
+        assert err == "cache: not stored (no cache directory: Could not determine home directory.)\n"
+
     def test_workers_below_one(self, capsys):
         code, out, err = run(capsys, "ell", "3", "--no-cache", "--workers", "0")
         assert code == 1

@@ -673,24 +673,32 @@ class TestScanKernel:
         assert calls["_box_counts"] == [(k, cap, most)]
 
     @pytest.mark.parametrize(
-        "a,b,searches",
+        "survey,a,b,searches",
         [
-            (EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7,), (6,)]),
-            (EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2), [(1,), (2,)]),
-            (EnumConfig(k=9, mode="pruned"), EnumConfig(k=8, mode="pruned"), [(9,), (8,)]),
+            (enumerate_irreducible, EnumConfig(k=7, sum_cap=65), EnumConfig(k=6), [(7,), (6,)]),
+            (enumerate_irreducible, EnumConfig(k=1, sum_cap=11280), EnumConfig(k=2),
+             [(1,), (2,)]),
+            (enumerate_irreducible, EnumConfig(k=9, mode="pruned"),
+             EnumConfig(k=8, mode="pruned"), [(9,), (8,)]),
+            (extremal_pairs, EnumConfig(k=12, sum_cap=100_000), EnumConfig(k=11, mode="pruned"),
+             [(12,), (11,)]),
         ],
-        ids=["brute-7-65-with-6", "brute-1-11280-with-2", "pruned-9-with-8"],
+        ids=["brute-7-65-with-6", "brute-1-11280-with-2", "pruned-9-with-8",
+             "extremal-brute-12-100000-with-pruned-11"],
     )
-    def test_interleaved_surveys_each_search_once(self, monkeypatch, a, b, searches):
+    def test_interleaved_surveys_each_search_once(self, monkeypatch, survey, a, b, searches):
         # Two surveys read side by side share nothing: each stream is its
-        # solo run, and each survey searches once, for its own k.
-        solo_a = list(enumerate_irreducible(a))
-        solo_b = list(enumerate_irreducible(b))
-        calls = self._counting(monkeypatch, "_search")
-        pairs = list(itertools.zip_longest(enumerate_irreducible(a), enumerate_irreducible(b)))
+        # solo run, and each survey searches once, for its own k, and
+        # reads its sums off that search alone, with no count DP and no
+        # per-sum read.
+        solo_a = list(survey(a))
+        solo_b = list(survey(b))
+        calls = self._counting(monkeypatch, "_search", "_box_counts", "_scan_all", "_scan_sum")
+        pairs = list(itertools.zip_longest(survey(a), survey(b)))
         assert [p for p, _ in pairs if p is not None] == solo_a
         assert [q for _, q in pairs if q is not None] == solo_b
         assert calls["_search"] == searches
+        assert calls["_box_counts"] == calls["_scan_all"] == calls["_scan_sum"] == []
 
 
 # The positional arguments each replacement forwards or takes.
@@ -781,6 +789,9 @@ class TestSurveyBudget:
         assert cap == 100_000
         report = compute_ell(EnumConfig(k=k, sum_cap=cap))
         assert (report.ell, report.sum_cap) == (ell, cap)
+        # The search ends below k*k, so a cap past it lists nothing more.
+        stream = list(enumerate_irreducible(EnumConfig(k=k, sum_cap=cap)))
+        assert stream == list(enumerate_irreducible(EnumConfig(k=k)))
 
     @pytest.mark.parametrize("k", [1, enumeration.MAX_K])
     def test_brute_cap_past_the_bound_is_refused(self, k):
