@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -97,7 +96,9 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
 
 def store_report(cfg: EnumConfig, report: EllReport) -> Path:
     """Persist a report atomically; returns the entry path."""
-    import tempfile  # imports random; a lookup needs neither
+    # Only a store needs these (tempfile imports random): a lookup loads neither.
+    import tempfile
+    from datetime import datetime, timezone
 
     path = entry_path(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)

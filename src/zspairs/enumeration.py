@@ -72,7 +72,6 @@ search.  `compute_ell` reads every sum up to its cap in S order, and
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from typing import Iterator
 
 from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, _set, _Value, pair_canonical
@@ -82,11 +81,11 @@ from .irreducibility import _fold_run
 
 # One survey limit for both modes.  The search ends on its own at sum
 # k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
-# 11-12 ms and 16 MB peak RSS, even at cap 1).  A larger cap adds to
+# 7.5-8.1 ms and 16 MB peak RSS, even at cap 1).  A larger cap adds to
 # `ell` only the count DP, O(k * cap), and one read per sum, and nothing
 # to `enumerate`, which reads only the sums that hold hits.  A brute
-# survey at MAX_BRUTE_CAP took 0.03-0.06 s at k=1 and 0.14-0.19 s at
-# k=12, and `enumerate` at k=12 0.06 s, at most 22 MB peak RSS (2 vCPUs,
+# survey at MAX_BRUTE_CAP took 0.03 s at k=1 and 0.13 s at k=12, and
+# `enumerate` at k=12 0.05-0.06 s, at most 22 MB peak RSS (2 vCPUs,
 # Python 3.11.7, three rounds of best of 7, each in a fresh process).
 # Pruned mode reads no sum above k*k, so it takes any cap.
 MAX_K = 12
@@ -181,48 +180,76 @@ def _search(k: int) -> dict[int, list]:
     irreducible pair, its lighter side gaining |sa - sb| (the comment on
     the completing child says why), no longer than the longest hit,
     2k - 1 as `test_search_ends_by_itself` pins for every k <= 16.
-    The packing holds while k <= 128.
+    The packing holds while k <= 128.  That test also pins the largest
+    sum, k(k-1), so one list per sum up to k*k holds every hit.
 
     A stack entry is (sa, A's bound, A, sb, B's bound, B, D, the pair's
     length), a bound being the largest element a side may gain: its last
     one, or v for seed v's empty side A.  D (`diffs`) has bit b - a + sa
     for each subset sum a of A and b of B, and adding e to either side
-    makes it D | D << e.  The entries popped share no positive sum, so
+    makes it D | D << e.  The entries visited share no positive sum, so
     adding e to A makes one (b = a + e) iff bit sa + e is set, and to B
     (a = b + e) iff bit sa - e is: the lighter side's children are the
     clear bits of one window of D, and no side is swapped.  B is never
     empty, so a lighter B's bound is at most sb < sa: its window starts
-    at sa - lb > 0, and is read from the top."""
+    at sa - lb > 0, and is read from the top.
+
+    An entry's first child, the one a stack holding all its children
+    would pop first, is grown in place, in the loop's own variables; the
+    others are pushed, and a new entry is popped only when the current
+    one has no child.  The children are read lowest bit first, so the
+    first child is the last one read.  The tree, the order it is visited
+    in and the hits are those of pushing every child, with about half as
+    many pushes."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
     low = [(1 << e) - 1 for e in range(k + 1)]
-    found: dict[int, list] = defaultdict(list)
+    found: list[list] = [[] for _ in range(k * k + 1)]
     stack = [(0, v, 0, v, v, one[v], 1 | 1 << v, 1) for v in range(1, k + 1)]
+    push, pop = stack.append, stack.pop
     while stack:
-        sa, la, side_a, sb, lb, side_b, diffs, n = stack.pop()
-        n += 1
-        # Adding d = |sa - sb| to the lighter side completes the pair.
-        # Bit sb is set by a = sa, b = sb, so d is never pushed, and it
-        # needs no test: any other a, b with b - a = sb - sa has b < sb,
-        # and sa - a = sb - b > 0 would be a shared sum of this entry.
-        if sa < sb:
-            if sb - sa <= la:
-                found[sb].append((n, side_a + one[sb - sa], side_b))
-            free = ~(diffs >> sa + 1) & low[la]
-            while free:
-                bit = free & -free
-                free ^= bit
-                e = bit.bit_length()
-                stack.append((sa + e, e, side_a + one[e], sb, lb, side_b, diffs | diffs << e, n))
-        else:
-            if sa - sb <= lb:
-                found[sa].append((n, side_b + one[sa - sb], side_a))
-            free = ~(diffs >> sa - lb) & low[lb]
-            while free:
-                bit = free & -free
-                free ^= bit
-                e = lb + 1 - bit.bit_length()
-                stack.append((sa, la, side_a, sb + e, e, side_b + one[e], diffs | diffs << e, n))
-    return found
+        sa, la, side_a, sb, lb, side_b, diffs, n = pop()
+        # CPython 3.11 warms a function up on calls and on unconditional
+        # backward jumps like this loop's, not on a `while cond` loop's,
+        # so this loop lets the search specialize within its first call.
+        while True:
+            n += 1
+            # Adding d = |sa - sb| to the lighter side completes the pair.
+            # Bit sb is set by a = sa, b = sb, so d is never a child, and
+            # it needs no test: any other a, b with b - a = sb - sa has
+            # b < sb, and sa - a = sb - b > 0 would be a shared sum of
+            # this entry.
+            if sa < sb:
+                if sb - sa <= la:
+                    found[sb].append((n, side_a + one[sb - sa], side_b))
+                free = ~(diffs >> sa + 1) & low[la]
+                if not free:
+                    break
+                e = (free & -free).bit_length()
+                free &= free - 1
+                while free:
+                    push((sa + e, e, side_a + one[e], sb, lb, side_b, diffs | diffs << e, n))
+                    e = (free & -free).bit_length()
+                    free &= free - 1
+                sa += e
+                la = e
+                side_a += one[e]
+            else:
+                if sa - sb <= lb:
+                    found[sa].append((n, side_b + one[sa - sb], side_a))
+                free = ~(diffs >> sa - lb) & low[lb]
+                if not free:
+                    break
+                e = lb + 1 - (free & -free).bit_length()
+                free &= free - 1
+                while free:
+                    push((sa, la, side_a, sb + e, e, side_b + one[e], diffs | diffs << e, n))
+                    e = lb + 1 - (free & -free).bit_length()
+                    free &= free - 1
+                sb += e
+                lb = e
+                side_b += one[e]
+            diffs |= diffs << e
+    return {total: hits for total, hits in enumerate(found) if hits}
 
 
 def _run_tuple(side: int) -> tuple[tuple[int, int], ...]:

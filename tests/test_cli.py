@@ -980,12 +980,13 @@ def test_import_loads_no_process_pool():
     assert fresh.stdout.split() == []
 
 
-_UNUSED_AT_START = {"dataclasses", "inspect", "csv", "random", "zspairs.checks"}
+_UNUSED_AT_START = {"dataclasses", "inspect", "csv", "random", "datetime", "zspairs.checks"}
 
 
 def test_import_loads_only_what_every_command_needs():
-    # csv, random and the selftest sweeps load in the commands that use
-    # them, and no value type needs dataclasses (which imports inspect).
+    # csv, random, datetime and the selftest sweeps load in the commands
+    # that use them, and no value type needs dataclasses (which imports
+    # inspect).
     # -S leaves out what site imports on some machines (random among it).
     src = Path(zspairs.__file__).resolve().parents[1]
     fresh = subprocess.run(
