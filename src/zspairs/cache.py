@@ -1,12 +1,12 @@
 """On-disk cache for survey reports, one JSON file per (k, mode, sum_cap).
 
 An entry holds the version that wrote it, `created_at` and the report;
-the file name is the key, and the report's own k, mode and sum_cap must
-be the key's.  Entries are invalidated by `__version__`, and a hit is
-served only after its report is checked again: it must print exactly as
-the report a survey of its key would, rebuilt from its own values, and
-its counts, wall time and witnesses must be ones a survey could return.
-An entry that cannot be read or parsed is a miss.
+the file name is the key, and any other field, such as the `key` that
+earlier versions wrote, is not read.  An entry is a miss, which `ell`
+recomputes and overwrites, unless it is readable, UTF-8, JSON not too
+deep to parse and an object; its version is `__version__`, so a version
+change invalidates every entry; its `created_at` is a string; and its
+report passes `_rebuilt`.
 Writes go through a temporary file plus rename so readers never see a
 torn entry.  The directory defaults to the user cache dir and can be
 overridden with the ZSPAIRS_CACHE_DIR environment variable.  With no
@@ -64,11 +64,16 @@ def load_report(cfg: EnumConfig) -> tuple[EllReport, str] | None:
 
 def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
     """A stored report as the EllReport it was built from, if it is one a
-    survey of this config could return: rebuilt from its own values,
-    under the config's k, mode and sum_cap, it prints the same JSON; ell
-    and its counts are ints >= 0 and its wall time a finite float >= 0;
-    there is a witness exactly when ell is positive; and the witnesses,
-    in survey order, are irreducible pairs of length ell within the caps."""
+    survey of this config could return.  Rebuilt from its own values
+    under the config's k, mode and sum_cap, with every witness parsed, it
+    prints the stored JSON exactly: the same fields in the same order,
+    its own k, mode and sum_cap the key's, a k or sum_cap of 3, not 3.0,
+    and each witness canonical (larger side first, runs merged and
+    descending).  Its ell and counts are ints >= 0 and its wall time a
+    finite float >= 0; there is a witness exactly when ell is positive;
+    and the witnesses, in survey order (by sum, then A, then B,
+    descending, none twice), are irreducible pairs of length ell within
+    the caps."""
     try:
         witnesses = tuple(map(pair_from_obj, report["witnesses"]))
         rebuilt = EllReport(**{**report, "witnesses": witnesses,

@@ -1,62 +1,35 @@
 """Exhaustive and pruned search over irreducible pairs.
 
-Both modes read one search, which uses no structural theorem and ends
-by itself (at sum k(k-1) for k >= 2), so a survey's maximum length is
-discovered, not assumed.  The modes differ only in the sums a survey
-reads and in what m counts (below), so neither checks the other; the
-independent references are `is_irreducible_naive` and, in tests/,
-`scan_sum_reference` (all pairs) and `_reverse_search`.
+Both modes read one search, `_search`, which takes k alone, uses no
+structural theorem and ends by itself; its docstring gives the argument
+that it reaches every irreducible pair over [1, k] exactly once.  So a
+survey's maximum length is discovered, not assumed.  A survey runs the
+search once, when it is called, and reads its sums off its own result,
+so no survey shares state with another.  The modes differ only in the
+sums a survey reads and in what m counts (below), so neither checks the
+other; the independent references are `is_irreducible_naive` and, in
+tests/, `scan_sum_reference` (all pairs) and `_reverse_search`.
 
-Neither mode builds candidates: one search grows both sides of a pair
-at once, from a stack, for every sum in one pass.  A pair is
-irreducible iff the interior subset sums of its sides, those in 1..S-1,
-are disjoint.  The stack starts with one seed per top value v, the
-empty side against {v}, and one rule grows every entry: the side with
-the smaller partial sum gains elements in descending order, none above
-its last one (v for the empty side).  Each entry carries one
-difference set, bit b - a + x for each subset sum a of one side, of
-partial sum x, and b of the other; adding e to a side shares a positive
-sum iff bit x + e or x - e (by side) is set.  Such a child is dropped:
-subset sums only gain values as a prefix grows, and the shared value is
-at most the smaller partial sum, so it lies below the larger one and is
-interior to every completion.  Equal partial sums end the pair, which
-is recorded untested: its bit is set by the two whole sides, and any
-other sums that set it leave a shared positive sum in its parent.
-Seed v completes v | v; any other irreducible pair holds its top value
-v on one side only (equal maxima are a shared sum, interior unless both
-sides are {v}), and grows from seed v in a forced order that drops no
-prefix.  So the search reaches each irreducible pair once, with no
-seen-set.  A survey runs it once, when it is called, and reads its sums
-off its own result, so no survey shares state with another.
-
-A side is carried as one int, its count of value v in byte v - 1, so
-extending it is one addition.  Each hit is recorded, unsorted and in no
-side order, as (length, completed side, other side), and the child that
-completes a pair needs no test.  `_pairs` alone turns hits into
-oriented, sorted Pairs, decoding each distinct side once, where they
-are read: `enumerate_irreducible` each sum's hits in its length window,
-and `compute_ell` only its witnesses.  The window is an argument of
-`enumerate_irreducible` alone, which `extremal_pairs` narrows to 2k - 1;
-a survey, and the cache key of its report, is (k, sum cap, mode), so
-`compute_ell` takes no window and counts every hit.
-
-Neither mode nor cap reaches the search, which takes k alone; a survey
-reads sums off it.  Brute mode reads sums up to the cap and uses nothing
-but the definition, so it stays theorem-free.  Pruned mode reads sums up
-to min(cap, k*k), the largest sum of a multiset of at most k parts, and
-counts only such multisets as its candidates.  It rests on the theorem
-that each side's cardinality is at most the other side's maximum: no
-irreducible pair lies past those bounds, so every hit it reports is one
-of the candidates it counts.  No hit lies above k(k-1), below k*k, so
+Brute mode reads sums up to the cap and uses nothing but the definition,
+so it stays theorem-free.  Pruned mode reads sums up to min(cap, k*k),
+the largest sum of a multiset of at most k parts, and counts only such
+multisets as its candidates.  It rests on the theorem that each side's
+cardinality is at most the other side's maximum: no irreducible pair
+lies past those bounds, so every hit it reports is one of the
+candidates it counts.  No hit lies above k(k-1), below k*k, so
 `enumerate_irreducible` and `extremal_pairs` read the search up to the
-cap with no mode; only `compute_ell` counts candidates.
+cap with no mode; only `compute_ell` counts candidates.  It lists none
+of them: it counts m(m+1)/2 pairs of the m multisets of sum S with
+values <= k and at most L elements, L = k in pruned mode and the cap in
+brute mode, where it bounds nothing (`_box_counts` gives m).
 
-Neither mode lists the candidates it counts: m(m+1)/2 pairs of the m
-multisets of sum S with values <= k and at most L elements (L = k in
-pruned mode, the cap in brute mode), m being the coefficient of q^S in
-the product of (1 - q^(L+i)) / (1 - q^i) for i = 1..k: in pruned mode
-the Gaussian binomial [2k, k]_q, and in brute mode a product whose
-length bound bounds nothing.
+`_pairs` alone turns hits into oriented, sorted Pairs, decoding each
+distinct side once, where they are read: `enumerate_irreducible` each
+sum's hits in its length window, and `compute_ell` only its witnesses.
+The window is an argument of `enumerate_irreducible` alone, which
+`extremal_pairs` narrows to 2k - 1; a survey, and the cache key of its
+report, is (k, sum cap, mode), so `compute_ell` takes no window and
+counts every hit.
 
 The set of irreducible pairs for a fixed k is infinite a priori, so every
 report states the sum cap it was computed under; nothing is extrapolated.
@@ -65,8 +38,7 @@ past either, making the config raises ResourceLimitError.
 Every survey runs in the calling process and takes no worker count:
 starting a process pool (about 10 ms on 2 vCPUs) cost more than it
 saved on every shipped brute survey, and pruned surveys run the same
-search.  `compute_ell` reads every sum up to its cap in S order, and
-`enumerate_irreducible` only the sums that hold hits.
+search.
 """
 
 from __future__ import annotations
@@ -79,14 +51,11 @@ from .formats import pair_to_obj
 # Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
 
-# One survey limit for both modes.  The search ends on its own at sum
-# k(k-1) for k >= 2, so a survey at any cap pays for all of it (at k=12,
-# 7.5-8.1 ms and 16 MB peak RSS, even at cap 1).  A larger cap adds to
-# `ell` only the count DP, O(k * cap), and one read per sum, and nothing
-# to `enumerate`, which reads only the sums that hold hits.  A brute
-# survey at MAX_BRUTE_CAP took 0.03 s at k=1 and 0.13 s at k=12, and
-# `enumerate` at k=12 0.05-0.06 s, at most 22 MB peak RSS (2 vCPUs,
-# Python 3.11.7, three rounds of best of 7, each in a fresh process).
+# One survey limit for both modes, set from measured cost: README's
+# brute table gives it at k = 1, 7 and 12 up to MAX_BRUTE_CAP.  A survey
+# at any cap pays for the whole search, even at cap 1, and a larger cap
+# adds to `ell` only the count DP, O(k * cap), and one read per sum, and
+# nothing to `enumerate`, which reads only the sums that hold hits.
 # Pruned mode reads no sum above k*k, so it takes any cap.
 MAX_K = 12
 MAX_BRUTE_CAP = 100_000
@@ -168,31 +137,58 @@ def _multiset_runs(remaining: int, max_part: int, runs: tuple[tuple[int, int], .
 
 
 def _search(k: int) -> dict[int, list]:
-    """Every irreducible pair with values in [1, k]: a dict from
-    each sum to its hits, unsorted, each as (length, completed side,
-    other side) with no side order and both sides packed (see
-    `_run_tuple`).  The stack empties by itself (at sum k(k-1) for
-    k >= 2), so no pair at any sum is missed.
+    """Every irreducible pair with values in [1, k]: a dict from each
+    sum, in ascending order, to its hits, unsorted, each as (length,
+    completed side, other side) with no side order and both sides
+    packed (see `_run_tuple`).
+
+    A pair is irreducible iff the interior subset sums of its sides,
+    those in 1..S-1, are disjoint.  The search grows both sides of a
+    pair at once, from a stack, for every sum in one pass.  The stack
+    starts with one seed per top value v, the empty side A against
+    B = {v}, and one rule grows every entry: the side with the smaller
+    partial sum gains elements in descending order, none above its last
+    one (v for the empty side).  A stack entry is (sa, A's bound, A, sb,
+    B's bound, B, D, the pair's length), a bound being the largest
+    element a side may gain.
+
+    D (`diffs`) is the entry's difference set: bit b - a + sa for each
+    subset sum a of A and b of B.  Adding e to either side makes it
+    D | D << e.  The entries visited share no positive sum, so adding e
+    to A makes one (b = a + e) iff bit sa + e is set, and adding e to B
+    (a = b + e) iff bit sa - e is.  Such a child is dropped: subset sums
+    only gain values as a prefix grows, and the shared value is at most
+    the smaller partial sum, so it lies below the larger one and is
+    interior to every completion.  So the lighter side's children are
+    the clear bits of one window of D, a rejected child costs nothing,
+    and no side is swapped.  B is never empty, so a lighter B's bound is
+    at most sb < sa: its window starts at sa - lb > 0, and is read from
+    the top.
+
+    Adding d = |sa - sb| to the lighter side makes the partial sums
+    equal, which ends the pair; it is recorded untested.  Bit sb is set
+    by a = sa, b = sb, so d is never a child, and it needs no test: any
+    other a, b with b - a = sb - sa has b < sb, and sa - a = sb - b > 0
+    would be a shared positive sum of this entry.
+
+    Seed v completes v | v.  Any other irreducible pair holds its top
+    value v on one side only, since equal maxima are a shared interior
+    sum unless both sides are {v}, and it grows from seed v in a forced
+    order that drops no prefix.  So the search reaches each irreducible
+    pair exactly once, with no seen-set, and the search for k - 1 is the
+    search for k without the pairs that hold k.  The stack empties by
+    itself, at sum k(k-1) for k >= 2, so no pair at any sum is missed;
+    `test_search_ends_by_itself` pins that largest sum, so one list per
+    sum up to k*k holds every hit.  The dict is built from those lists
+    by `enumerate`, so it is in ascending sum order, the order in which
+    `enumerate_irreducible` reads it.
 
     A side is one int holding its count of each value v in byte v - 1,
     so extending it by e adds `one[e]`.  No count reaches 256, which
     needs a pair of at least 257 elements: each entry completes to an
-    irreducible pair, its lighter side gaining |sa - sb| (the comment on
-    the completing child says why), no longer than the longest hit,
-    2k - 1 as `test_search_ends_by_itself` pins for every k <= 16.
-    The packing holds while k <= 128.  That test also pins the largest
-    sum, k(k-1), so one list per sum up to k*k holds every hit.
-
-    A stack entry is (sa, A's bound, A, sb, B's bound, B, D, the pair's
-    length), a bound being the largest element a side may gain: its last
-    one, or v for seed v's empty side A.  D (`diffs`) has bit b - a + sa
-    for each subset sum a of A and b of B, and adding e to either side
-    makes it D | D << e.  The entries visited share no positive sum, so
-    adding e to A makes one (b = a + e) iff bit sa + e is set, and to B
-    (a = b + e) iff bit sa - e is: the lighter side's children are the
-    clear bits of one window of D, and no side is swapped.  B is never
-    empty, so a lighter B's bound is at most sb < sa: its window starts
-    at sa - lb > 0, and is read from the top.
+    irreducible pair, its lighter side gaining |sa - sb|, no longer than
+    the longest hit, 2k - 1 as `test_search_ends_by_itself` pins for
+    every k <= 16.  The packing holds while k <= 128.
 
     An entry's first child, the one a stack holding all its children
     would pop first, is grown in place, in the loop's own variables; the
@@ -200,7 +196,10 @@ def _search(k: int) -> dict[int, list]:
     one has no child.  The children are read lowest bit first, so the
     first child is the last one read.  The tree, the order it is visited
     in and the hits are those of pushing every child, with about half as
-    many pushes."""
+    many pushes.  CPython 3.11 warms a function up on calls and on
+    unconditional backward jumps, not on a `while cond` loop's, so the
+    inner `while True` loop, which jumps back once per entry it grows in
+    place, lets the search specialize within its first call."""
     one = [0] + [1 << 8 * (e - 1) for e in range(1, k + 1)]
     low = [(1 << e) - 1 for e in range(k + 1)]
     found: list[list] = [[] for _ in range(k * k + 1)]
@@ -208,16 +207,11 @@ def _search(k: int) -> dict[int, list]:
     push, pop = stack.append, stack.pop
     while stack:
         sa, la, side_a, sb, lb, side_b, diffs, n = pop()
-        # CPython 3.11 warms a function up on calls and on unconditional
-        # backward jumps like this loop's, not on a `while cond` loop's,
-        # so this loop lets the search specialize within its first call.
+        # Unconditional on purpose, for CPython 3.11 (see above).
         while True:
             n += 1
-            # Adding d = |sa - sb| to the lighter side completes the pair.
-            # Bit sb is set by a = sa, b = sb, so d is never a child, and
-            # it needs no test: any other a, b with b - a = sb - sa has
-            # b < sb, and sa - a = sb - b > 0 would be a shared sum of
-            # this entry.
+            # Adding d = |sa - sb| to the lighter side completes the pair,
+            # untested (see above).
             if sa < sb:
                 if sb - sa <= la:
                     found[sb].append((n, side_a + one[sb - sa], side_b))
@@ -306,13 +300,12 @@ def _scan_task(args: tuple[dict, list[int], int]):
 
 
 def _scan_all(cfg: EnumConfig, workers: int):
-    """Per-sum scan results for S = 1..sum_cap, in S order, leaving out
+    """`_scan_sum`'s results for S = 1..sum_cap, in S order, leaving out
     pruned sums above k*k: their candidates would need more than k parts
-    of size at most k.  Both modes read one search of k alone, run when
-    this is called; pruned mode counts only candidates of at most k
-    elements.  Its one caller is `compute_ell`, for the counts; it and
-    `_scan_sum` are also the per-sum seams perfbench/tracing.py times.
-    `workers` is not read: the tracer's wrapper takes it and forwards it."""
+    of size at most k.  The search runs when this is called.  Its one
+    caller is `compute_ell`, for the counts; it and `_scan_sum` are also
+    the per-sum seams perfbench/tracing.py times.  `workers` is not
+    read: the tracer's wrapper takes it and forwards it."""
     k, brute = cfg.k, cfg.mode == "brute"
     top = cfg.sum_cap if brute else min(cfg.sum_cap, k * k)
     found = _search(k)
@@ -326,13 +319,13 @@ def enumerate_irreducible(cfg: EnumConfig,
     the inclusive window (lo, hi), exactly once, in a fixed order: by
     sum, then by descending-lexicographic position of A, then of B.  The
     window is checked, and the search run, when this is called; the
-    mode is not read, as no hit lies above k(k-1) < k*k."""
+    mode is not read, as no hit lies above k*k."""
     lo, hi = length_window
     if lo < 1 or hi < lo:
         raise ValueError(f"bad length window ({lo}, {hi})")
     found = _search(cfg.k)
-    return (p for total in sorted(found) if total <= cfg.sum_cap
-            for p in _pairs([hit for hit in found[total] if lo <= hit[0] <= hi]))
+    return (p for total, hits in found.items() if total <= cfg.sum_cap
+            for p in _pairs([hit for hit in hits if lo <= hit[0] <= hi]))
 
 
 def compute_ell(cfg: EnumConfig) -> EllReport:

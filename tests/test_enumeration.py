@@ -246,11 +246,12 @@ def test_partitions_enter_no_dead_branch(total, monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_disjoint_low_keys_mean_disjoint_values(k):
-    # Why the search's orientation is well defined: two multisets whose
-    # interior sums in 1..k miss each other share no value unless both
-    # are {S}.  So an irreducible pair other than v | v has two distinct
-    # maxima.  Values are pooled per key, so a shared value shows up
-    # between two keys.
+    # Supports `_search`'s claim that seed v reaches each pair exactly
+    # once: two multisets whose interior sums in 1..k miss each other
+    # share no value unless both are {S}.  So equal maxima are a shared
+    # interior sum unless both sides are {v}, and an irreducible pair
+    # other than v | v holds its top value on one side only.  Values are
+    # pooled per key, so a shared value shows up between two keys.
     full = (2 << k) - 1
     values: list[dict[int, int]] = [{} for _ in range(k * k + 1)]
 
@@ -527,6 +528,8 @@ class TestScanKernel:
         # pair over [1, k]: none past sum k(k-1), and for k >= 2 only
         # k^(k-1) | (k-1)^k as long as 2k-1, with no theorem used.
         found = enumeration._search(k)
+        # `enumerate_irreducible` reads the sums in this order.
+        assert list(found) == sorted(found)
         assert sum(len(hits) for hits in found.values()) == self._SEARCH_HITS[k - 1]
         if k == 1:
             assert list(found) == [1]
