@@ -8,7 +8,6 @@ an infeasible derivation, a resource limit), 2 for unparseable input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -27,6 +26,7 @@ from .enumeration import (
 from .formats import (
     FormatError,
     _quoted,
+    compact_json,
     format_multiset,
     format_pair,
     pair_to_json,
@@ -81,7 +81,7 @@ def cmd_ell(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
     cached = None if args.no_cache else load_report(cfg)
     report = cached[0] if cached else compute_ell(cfg)
-    print(json.dumps(report.to_obj(), separators=(",", ":")))
+    print(compact_json(report.to_obj()))
     if cached:
         # Provenance: the wall_time in the report is the original run's.
         print(

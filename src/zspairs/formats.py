@@ -7,7 +7,11 @@ Plan: semicolon-separated `a,b^count` triples, e.g. `7,6^2;7,5`.  Chain:
 
 Emission is always canonical (values descending, merged runs, `^1`
 elided), so emit(parse(s)) == s for canonical s and parse(emit(x)) == x
-always.  Parsers accept runs in any order and normalize.
+always.  Parsers accept runs in any order.  Each run is checked once, as
+it is read, and its count merged into the run of its value; the merged
+runs then go to `Multiset`, which enforces the value, cardinality and
+sum limits.  A token or JSON run that check refuses is diagnosed by the
+per-run rules, which name the first fault and its column.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import re
 from typing import Any
 
 from .core import (MAX_CARDINALITY, MAX_DIGITS, MAX_VALUE, LimitExceededError, Multiset, Pair,
-                   normalize, pair_canonical)
+                   pair_canonical)
 
 
 class FormatError(ValueError):
@@ -32,6 +36,10 @@ class FormatError(ValueError):
 # Matched with fullmatch: `$` also matches before a trailing newline.
 _RUN_RE = re.compile(r"([0-9]+)(?:\^([0-9]+))?")
 _STEP_RE = re.compile(r"([0-9]+),([0-9]+)(?:\^([0-9]+))?")
+# Only the runs _RUN_RE, _int and _check_run all accept: a nonzero value
+# and count, each of at most MAX_DIGITS significant digits.
+_NUMERAL = f"0*([1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
+_VALID_RUN_RE = re.compile(f"{_NUMERAL}(?:\\^{_NUMERAL})?")
 
 
 def _int(digits: str, what: str) -> int:
@@ -63,31 +71,33 @@ def _quoted(token: str, quote=repr) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... ({len(token)} characters)"
 
 
-def _tokens(text: str, offset: int = 0) -> list[tuple[int, str]]:
-    out = []
-    i = 0
-    for tok in text.split(" "):
-        if tok:
-            out.append((offset + i, tok))
-        i += len(tok) + 1
-    return out
-
-
 def parse_multiset(text: str, offset: int = 0) -> Multiset:
     """Parse `v^c v^c ...`; offset shifts reported error positions."""
-    toks = _tokens(text, offset)
-    if not toks:
+    merged: dict[int, int] = {}
+    pos = offset
+    for tok in text.split(" "):
+        if tok:
+            m = _VALID_RUN_RE.fullmatch(tok)
+            if m is None:
+                _refuse_token(tok, pos)
+            value, count = m.groups()
+            value = int(value)
+            merged[value] = merged.get(value, 0) + (int(count) if count else 1)
+        pos += len(tok) + 1
+    if not merged:
         raise FormatError("expected a multiset, got nothing", offset)
-    raw = []
-    for pos, tok in toks:
-        m = _RUN_RE.fullmatch(tok)
-        if not m:
-            raise FormatError(f"expected value^count, got {_quoted(tok)}", pos)
-        value = _int(m.group(1), "value")
-        count = _int(m.group(2) or "1", "cardinality")
-        _check_run(value, count, pos)
-        raw.append((value, count))
-    return normalize(raw)
+    return Multiset(tuple(sorted(merged.items(), reverse=True)))
+
+
+def _refuse_token(tok: str, pos: int) -> None:
+    """Raise the error for a token _VALID_RUN_RE refused: every such token
+    breaks one of the rules below."""
+    m = _RUN_RE.fullmatch(tok)
+    if not m:
+        raise FormatError(f"expected value^count, got {_quoted(tok)}", pos)
+    value = _int(m.group(1), "value")
+    count = _int(m.group(2) or "1", "cardinality")
+    _check_run(value, count, pos)
 
 
 def _check_run(value: int, count: int, pos: int = 0) -> None:
@@ -124,8 +134,19 @@ def pair_to_obj(p: Pair) -> dict[str, list[list[int]]]:
     return {"A": [[v, c] for v, c in p.a.runs], "B": [[v, c] for v, c in p.b.runs]}
 
 
+# One encoder for every compact JSON line; its encode() gives the text
+# json.dumps(obj, separators=(",", ":")) gives, without building an
+# encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def compact_json(obj: Any) -> str:
+    """`obj` as JSON on one line, with no space after `,` or `:`."""
+    return _COMPACT.encode(obj)
+
+
 def pair_to_json(p: Pair) -> str:
-    return json.dumps(pair_to_obj(p), separators=(",", ":"))
+    return compact_json(pair_to_obj(p))
 
 
 def pair_from_obj(obj: Any) -> Pair:
@@ -134,17 +155,32 @@ def pair_from_obj(obj: Any) -> Pair:
     sides = []
     for key in ("A", "B"):
         runs = obj[key]
-        if not isinstance(runs, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r)
-            for r in runs
-        ):
-            raise FormatError(f'key "{key}" must be a list of [value, count] pairs')
-        if not runs:
+        if not isinstance(runs, list):
+            _refuse_runs(key, runs)
+        merged: dict[int, int] = {}
+        for run in runs:
+            if isinstance(run, list) and len(run) == 2:
+                value, count = run
+                if type(value) is int and type(count) is int and value > 0 and count > 0:
+                    merged[value] = merged.get(value, 0) + count
+                    continue
+            _refuse_runs(key, runs)
+        if not merged:
             raise FormatError("expected a multiset, got nothing")
-        for value, count in runs:
-            _check_run(value, count)
-        sides.append(normalize((v, c) for v, c in runs))
+        sides.append(Multiset(tuple(sorted(merged.items(), reverse=True))))
     return pair_canonical(sides[0], sides[1])
+
+
+def _refuse_runs(key: str, runs: Any) -> None:
+    """Raise the error for a side pair_from_obj refused, which breaks one
+    of the rules below: the shape of the side and of every run is checked
+    before any run's values."""
+    if not isinstance(runs, list) or not all(
+        isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r) for r in runs
+    ):
+        raise FormatError(f'key "{key}" must be a list of [value, count] pairs')
+    for value, count in runs:
+        _check_run(value, count)
 
 
 def pair_from_json(text: str) -> Pair:
@@ -160,9 +196,11 @@ def pair_from_json(text: str) -> Pair:
 def parse_plan(text: str) -> list[tuple[int, int, int]]:
     """Parse `a,b^c;a,b;...` into (a, b, count) steps, count defaulting to 1."""
     steps = []
-    pos = 0
+    start = 0
     for piece in text.split(";"):
         tok = piece.strip()
+        # A step is reported at its token, past the whitespace strip() removed.
+        pos = start + len(piece) - len(piece.lstrip())
         if not tok:
             raise FormatError("empty plan step", pos)
         m = _STEP_RE.fullmatch(tok)
@@ -175,16 +213,18 @@ def parse_plan(text: str) -> list[tuple[int, int, int]]:
         if count <= 0:
             raise FormatError(f"count must be positive, got {count}", pos)
         steps.append((a, b, count))
-        pos += len(piece) + 1
+        start += len(piece) + 1
     return steps
 
 
 def parse_chain(text: str) -> list[tuple[int, int]]:
     """Parse `a,b;a,b;...` into ordered (a, b) steps; `^count` is not allowed."""
     chain = []
-    pos = 0
+    start = 0
     for piece in text.split(";"):
         tok = piece.strip()
+        # A step is reported at its token, past the whitespace strip() removed.
+        pos = start + len(piece) - len(piece.lstrip())
         if not tok:
             raise FormatError("empty chain step", pos)
         m = _STEP_RE.fullmatch(tok)
@@ -194,5 +234,5 @@ def parse_chain(text: str) -> list[tuple[int, int]]:
         if a <= 0 or b <= 0:
             raise FormatError("chain values must be positive", pos)
         chain.append((a, b))
-        pos += len(piece) + 1
+        start += len(piece) + 1
     return chain

@@ -15,6 +15,7 @@ from zspairs import (
     pair_canonical,
 )
 from zspairs.core import MAX_VALUE
+from zspairs.formats import _RUN_RE, FormatError, _check_run, _int, _quoted
 
 
 def ms(*elements: int) -> Multiset:
@@ -210,3 +211,48 @@ def scan_sum_reference(k: int, total: int, mode: str):
             if not masks[i] & masks[j]:
                 hits.append((sides[i].runs, sides[j].runs))
     return hits, visited
+
+
+def parse_multiset_reference(text: str, offset: int = 0) -> Multiset:
+    """The text grammar as a token loop: every run checked by the
+    per-token rules, then merged and checked again by `normalize`."""
+    toks = []
+    i = 0
+    for tok in text.split(" "):
+        if tok:
+            toks.append((offset + i, tok))
+        i += len(tok) + 1
+    if not toks:
+        raise FormatError("expected a multiset, got nothing", offset)
+    raw = []
+    for pos, tok in toks:
+        m = _RUN_RE.fullmatch(tok)
+        if not m:
+            raise FormatError(f"expected value^count, got {_quoted(tok)}", pos)
+        value = _int(m.group(1), "value")
+        count = _int(m.group(2) or "1", "cardinality")
+        _check_run(value, count, pos)
+        raw.append((value, count))
+    return normalize(raw)
+
+
+def pair_from_obj_reference(obj) -> Pair:
+    """The JSON pair grammar, each check a pass of its own: the shape of
+    every run of a side, an empty side, each run's values, then the
+    merged side; A before B."""
+    if not isinstance(obj, dict) or set(obj) != {"A", "B"}:
+        raise FormatError('expected an object with exactly the keys "A" and "B"')
+    sides = []
+    for key in ("A", "B"):
+        runs = obj[key]
+        if not isinstance(runs, list) or not all(
+            isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r)
+            for r in runs
+        ):
+            raise FormatError(f'key "{key}" must be a list of [value, count] pairs')
+        if not runs:
+            raise FormatError("expected a multiset, got nothing")
+        for value, count in runs:
+            _check_run(value, count)
+        sides.append(normalize((v, c) for v, c in runs))
+    return pair_canonical(sides[0], sides[1])

@@ -1,5 +1,8 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zspairs import (
     FormatError,
@@ -12,7 +15,16 @@ from zspairs import (
     parse_pair,
     parse_plan,
 )
-from helpers import balanced_pairs, ms, multisets, pair
+from zspairs.core import MAX_CARDINALITY, MAX_VALUE
+from zspairs.formats import compact_json, pair_from_obj, pair_to_obj
+from helpers import (
+    balanced_pairs,
+    ms,
+    multisets,
+    pair,
+    pair_from_obj_reference,
+    parse_multiset_reference,
+)
 
 
 def test_parse_multiset():
@@ -120,6 +132,9 @@ def test_parse_chain():
         (parse_plan, "5,2;5,x", 4, "expected a,b or a,b^count, got '5,x'"),
         (parse_chain, "5,2;;3,2", 4, "empty chain step"),
         (parse_chain, "5,2;0,1", 4, "chain values must be positive"),
+        # A step is reported at its token, not at the spaces before it.
+        (parse_plan, "7,6;  x", 6, "expected a,b or a,b^count, got 'x'"),
+        (parse_chain, "5,2; 0,1", 5, "chain values must be positive"),
         (parse_pair, "| 5", 0, "expected a multiset, got nothing"),
         # A long token is quoted up to 40 characters of its repr, then cut.
         (parse_pair, "1 | 2 " + "9" * 100 + "x", 6,
@@ -128,7 +143,8 @@ def test_parse_chain():
          "expected a,b, got '" + "9" * 39 + "... (102 characters)"),
     ],
     ids=["plan-zero-value", "plan-zero-count", "plan-bad-step", "chain-empty-step",
-         "chain-zero-value", "pair-empty-side", "pair-long-token", "chain-long-token"],
+         "chain-zero-value", "plan-spaced-step", "chain-spaced-step", "pair-empty-side",
+         "pair-long-token", "chain-long-token"],
 )
 def test_plan_chain_and_pair_errors(parse, text, column, message):
     with pytest.raises(FormatError) as exc:
@@ -150,3 +166,86 @@ def test_text_round_trip_pair(p):
 @given(balanced_pairs())
 def test_json_round_trip_pair(p):
     assert pair_from_json(pair_to_json(p)) == p
+
+
+def _outcome(parse, *args):
+    """What a reader gives: its value, or its exception's type, text and
+    column."""
+    try:
+        return "ok", parse(*args)
+    except ValueError as e:
+        return "error", type(e), str(e), getattr(e, "position", None)
+
+
+def _weighted(*choices):
+    """One of the strategies, each drawn with its weight: one_of draws
+    its branches evenly and counts a repeated branch once."""
+    return st.sampled_from([s for weight, s in choices for _ in range(weight)]).flatmap(
+        lambda s: s
+    )
+
+
+# Numerals around every limit a run meets: zero, MAX_VALUE, MAX_CARDINALITY,
+# and 20 and 21 significant digits, with and without leading zeros.
+_small = st.integers(1, 12)
+_limits = st.sampled_from([0, MAX_VALUE, MAX_VALUE + 1, MAX_CARDINALITY + 1, 3000])
+_numerals = st.builds(
+    lambda zeros, n: "0" * zeros + str(n),
+    st.sampled_from([0, 0, 0, 1, 2]),
+    _weighted(
+        (12, _small),
+        (1, _limits),
+        (1, st.sampled_from([10**19, 10**20 - 1, 10**20, 10**21 - 1])),
+        (1, st.integers(0, 10**21)),
+    ),
+)
+_marks = st.sampled_from([""] * 8 + ["^"] * 8 + ["x", "\t", "\n", "^^"])
+_tokens = st.builds(
+    lambda value, mark, count: value + mark + (count if mark == "^" else ""),
+    _numerals, _marks, _numerals,
+)
+# An empty separator glues two tokens into one.
+_run_texts = st.lists(
+    st.tuples(st.sampled_from([" "] * 6 + ["  ", ""]), _tokens), max_size=6
+).map(lambda parts: "".join(sep + tok for sep, tok in parts))
+
+
+@settings(max_examples=500)
+@given(_run_texts, st.integers(0, 5))
+def test_parse_multiset_matches_the_token_loop(text, offset):
+    got = _outcome(parse_multiset, text, offset)
+    assert got == _outcome(parse_multiset_reference, text, offset)
+
+
+_json_ints = _weighted((8, _small), (2, st.integers(-3, 12)), (2, _limits))
+# Not ints to JSON's reader: bool is an int subclass in Python.
+_json_non_ints = st.sampled_from([True, False, True, 1.0, 2.5, None, "7"])
+_json_scalars = st.sampled_from([5, 0, -1, True, 1.5, None, "7"])
+_json_runs = _weighted(
+    (12, st.lists(_json_ints, min_size=2, max_size=2)),
+    # Often two faulty runs in one side: the first is the one reported.
+    (4, st.lists(st.integers(-2, 3), min_size=2, max_size=2)),
+    (3, st.lists(_json_non_ints | _json_ints, min_size=2, max_size=2)),
+    (1, st.lists(_json_ints, max_size=3)),
+    (1, st.tuples(_json_ints, _json_ints)),
+    (1, _json_scalars),
+)
+# Values from 1 to 12 over up to five runs: duplicate values are common.
+_json_sides = _weighted(
+    (20, st.lists(_json_runs, max_size=5)),
+    (1, _json_scalars),
+    (1, st.dictionaries(st.sampled_from("AB"), _json_scalars, max_size=1)),
+)
+_json_objects = st.fixed_dictionaries({"A": _json_sides, "B": _json_sides})
+
+
+@settings(max_examples=500)
+@given(_json_objects)
+def test_pair_from_obj_matches_the_check_passes(obj):
+    assert _outcome(pair_from_obj, obj) == _outcome(pair_from_obj_reference, obj)
+
+
+@given(balanced_pairs(), st.floats(allow_nan=True))
+def test_compact_json_is_json_dumps(p, wall_time):
+    obj = {"pair": pair_to_obj(p), "wall_time": wall_time, "name": "é\n"}
+    assert compact_json(obj) == json.dumps(obj, separators=(",", ":"))
