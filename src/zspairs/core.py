@@ -97,7 +97,9 @@ class _Value:
 
 class Multiset(_Value):
     """A nonempty multiset of positive integers, stored as (value, count)
-    runs with values strictly decreasing.
+    runs with values strictly decreasing.  Every value and count is an
+    `int`, not a bool or float (TypeError), so each one writes as a
+    numeral in text and JSON.
 
     Multisets compare and order by their run tuples alone, and run
     tuples order lexicographically as the descending element sequences
@@ -118,6 +120,8 @@ class Multiset(_Value):
         card = 0
         sigma = 0
         for value, count in runs:
+            if type(value) is not int or type(count) is not int:
+                raise TypeError(f"value and count must be ints, got ({value!r}, {count!r})")
             if value <= 0:
                 raise NonPositiveValueError(f"value {value} must be positive")
             if count <= 0:
@@ -136,6 +140,12 @@ class Multiset(_Value):
         _set(self, "runs", runs)
         _set(self, "cardinality", card)
         _set(self, "sigma", sigma)
+
+    def __eq__(self, other):
+        return self.runs == other.runs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.runs,))
 
     def __lt__(self, other):
         return self.runs < other.runs if other.__class__ is self.__class__ else NotImplemented
@@ -171,11 +181,14 @@ def normalize(raw: Iterable[tuple[int, int]]) -> Multiset:
     """Build a canonical Multiset from arbitrary (value, count) items.
 
     Duplicate values merge, zero counts are dropped, values sort
-    descending.  Rejects non-positive values, negative counts, and an
-    empty result.
+    descending.  Rejects a value or count that is not an int (TypeError),
+    non-positive values, negative counts, and an empty result.
     """
     merged: dict[int, int] = {}
     for value, count in raw:
+        # Checked here too: a merge would hide 1.0 or True in the run of 1.
+        if type(value) is not int or type(count) is not int:
+            raise TypeError(f"value and count must be ints, got ({value!r}, {count!r})")
         if value <= 0:
             raise NonPositiveValueError(f"value {value} must be positive")
         if count < 0:

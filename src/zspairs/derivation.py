@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .core import Pair, _set, _Value, normalize, pair_canonical
+from .core import Multiset, Pair, _set, _Value, pair_canonical
 
 
 class DerivationError(ValueError):
@@ -122,15 +122,15 @@ def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
 def _apply(p: Pair, steps: tuple[tuple[int, int, int], ...]) -> Pair:
     # Feasibility (A, then B) is checked before emptiness (A, then B):
     # that fixes which error a plan failing both ways raises.
-    sides = (("first", p.a), ("second", p.b))
-    counts = []
-    for i, (name, side) in enumerate(sides):
-        # A step (a, b, count) takes count copies of a from A and of b from B.
-        need: dict[int, int] = {}
-        for step in steps:
-            need[step[i]] = need.get(step[i], 0) + step[2]
-        new = dict(side.runs)
-        for value, n in need.items():
+    first, second = dict(p.a.runs), dict(p.b.runs)
+    # A step (a, b, count) takes count copies of a from A and of b from B.
+    take_a: dict[int, int] = {}
+    take_b: dict[int, int] = {}
+    for a, b, count in steps:
+        take_a[a] = take_a.get(a, 0) + count
+        take_b[b] = take_b.get(b, 0) + count
+    for name, new, take in (("first", first, take_a), ("second", second, take_b)):
+        for value, n in take.items():
             have = new.get(value, 0)
             if n > have:
                 raise InfeasiblePlanError(
@@ -138,14 +138,19 @@ def _apply(p: Pair, steps: tuple[tuple[int, int, int], ...]) -> Pair:
                     f"multiset, which holds {have}"
                 )
             new[value] = have - n
-        counts.append(new)
     for a, b, count in steps:
-        gains = counts[0] if a > b else counts[1]
+        gains = first if a > b else second
         gains[abs(a - b)] = gains.get(abs(a - b), 0) + count
-    for (name, _), new in zip(sides, counts):
+    for name, new in (("first", first), ("second", second)):
         if not any(new.values()):
             raise EmptyResultError(f"plan would empty the {name} multiset")
-    return pair_canonical(*(normalize(new.items()) for new in counts))
+    return pair_canonical(_side(first), _side(second))
+
+
+def _side(counts: dict[int, int]) -> Multiset:
+    # Every value is positive (a != b) and every count at least 0 (the
+    # plan is feasible), so a side needs only its zero counts dropped.
+    return Multiset(tuple(sorted([(v, c) for v, c in counts.items() if c], reverse=True)))
 
 
 def derive_chain(p: Pair, steps: Sequence[tuple[int, int]]) -> Pair:

@@ -7,11 +7,13 @@ Plan: semicolon-separated `a,b^count` triples, e.g. `7,6^2;7,5`.  Chain:
 
 Emission is always canonical (values descending, merged runs, `^1`
 elided), so emit(parse(s)) == s for canonical s and parse(emit(x)) == x
-always.  Parsers accept runs in any order.  Each run is checked once, as
-it is read, and its count merged into the run of its value; the merged
-runs then go to `Multiset`, which enforces the value, cardinality and
-sum limits.  A token or JSON run that check refuses is diagnosed by the
-per-run rules, which name the first fault and its column.
+always: a Multiset holds ints only, so every value and count writes as a
+numeral.  Pair JSON is written by its grammar, straight from the runs,
+with no encoder.  Parsers accept runs in any order.  Each run is checked
+once, as it is read, and its count merged into the run of its value; the
+merged runs then go to `Multiset`, which enforces the value, cardinality
+and sum limits.  A token or JSON run that check refuses is diagnosed by
+the per-run rules, which name the first fault and its column.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def parse_pair(text: str) -> Pair:
 
 
 def format_multiset(ms: Multiset) -> str:
-    return " ".join(f"{v}^{c}" if c > 1 else str(v) for v, c in ms.runs)
+    return " ".join([f"{v}^{c}" if c > 1 else str(v) for v, c in ms.runs])
 
 
 def format_pair(p: Pair) -> str:
@@ -146,7 +148,10 @@ def compact_json(obj: Any) -> str:
 
 
 def pair_to_json(p: Pair) -> str:
-    return compact_json(pair_to_obj(p))
+    """The text compact_json(pair_to_obj(p)) gives."""
+    a = ",".join([f"[{v},{c}]" for v, c in p.a.runs])
+    b = ",".join([f"[{v},{c}]" for v, c in p.b.runs])
+    return f'{{"A":[{a}],"B":[{b}]}}'
 
 
 def pair_from_obj(obj: Any) -> Pair:

@@ -174,6 +174,7 @@ def test_multiset_compares_and_orders_by_runs_alone():
     assert small <= zspairs.Multiset(((1, 5),)) >= small
     assert sorted([large, small, large]) == [small, large, large]
     assert hash(small) == hash((small.runs,))
+    assert small.__eq__(small.runs) is NotImplemented and not small == small.runs
     for op in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
             op(small, small.runs)

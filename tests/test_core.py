@@ -16,6 +16,7 @@ from zspairs import (
     UnbalancedError,
     ZeroSumSequence,
     extremal_construction,
+    multiset,
     normalize,
     pair_canonical,
     pair_to_sequence,
@@ -79,6 +80,30 @@ def test_direct_construction_errors(runs, error, message):
         Multiset(runs)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Multiset(((True, 1),)),
+        lambda: Multiset(((3, True),)),
+        lambda: Multiset(((2.5, 2),)),
+        lambda: Multiset(((2, 2.0),)),
+        lambda: Multiset(((7, 3), (1.0, 2))),
+        lambda: multiset(2.0),
+        lambda: normalize([(True, 1)]),
+        # Merged into the run of 1, the bool would reach no Multiset.
+        lambda: normalize([(1, 1), (True, 1)]),
+        lambda: normalize([(3, 0.0)]),
+    ],
+    ids=["bool-value", "bool-count", "float-value", "float-count", "float-second-run",
+         "multiset-float", "normalize-bool", "normalize-merged-bool", "normalize-float-zero"],
+)
+def test_values_and_counts_must_be_ints(build):
+    # A bool would write as `true` in JSON and a float as `2.5` in text;
+    # neither reads back.
+    with pytest.raises(TypeError, match="value and count must be ints"):
+        build()
 
 
 class TestMeasures:

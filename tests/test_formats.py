@@ -15,7 +15,7 @@ from zspairs import (
     parse_pair,
     parse_plan,
 )
-from zspairs.core import MAX_CARDINALITY, MAX_VALUE
+from zspairs.core import MAX_CARDINALITY, MAX_SIGMA, MAX_VALUE, Multiset, pair_canonical
 from zspairs.formats import compact_json, pair_from_obj, pair_to_obj
 from helpers import (
     balanced_pairs,
@@ -249,3 +249,29 @@ def test_pair_from_obj_matches_the_check_passes(obj):
 def test_compact_json_is_json_dumps(p, wall_time):
     obj = {"pair": pair_to_obj(p), "wall_time": wall_time, "name": "é\n"}
     assert compact_json(obj) == json.dumps(obj, separators=(",", ":"))
+
+
+@st.composite
+def _wide_multisets(draw) -> Multiset:
+    """1 to 60 runs, values up to MAX_VALUE, counts up to MAX_CARDINALITY:
+    each run leaves room under the cardinality and sum limits for every
+    run after it."""
+    values = sorted(
+        draw(st.lists(st.integers(1, MAX_VALUE), min_size=1, max_size=60, unique=True)),
+        reverse=True,
+    )
+    runs, card, total = [], 0, 0
+    for i, v in enumerate(values):
+        left = len(values) - i
+        room = min((MAX_CARDINALITY - card) // left, (MAX_SIGMA - total) // (v * left))
+        count = draw(st.integers(1, room))
+        runs.append((v, count))
+        card += count
+        total += v * count
+    return Multiset(tuple(runs))
+
+
+@given(_wide_multisets(), _wide_multisets())
+def test_pair_to_json_writes_what_the_encoder_writes(x, y):
+    p = pair_canonical(x, y)
+    assert pair_to_json(p) == compact_json(pair_to_obj(p))
