@@ -20,7 +20,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .enumeration import EllReport, EnumConfig, _survey_order
+from .enumeration import EllReport, EnumConfig
 from .formats import pair_from_obj
 from .irreducibility import is_irreducible
 
@@ -80,7 +80,7 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
                                "k": cfg.k, "mode": cfg.mode, "sum_cap": cfg.sum_cap})
         ell, wall_time = rebuilt.ell, rebuilt.wall_time
         counts = (ell, rebuilt.pairs_scanned, rebuilt.irreducible_count)
-        order = [_survey_order(p) for p in witnesses]
+        order = [(-p.a.sigma, p.a.runs, p.b.runs) for p in witnesses]
         holds = (
             json.dumps(rebuilt.to_obj()) == json.dumps(report)
             and all(type(c) is int and c >= 0 for c in counts)

@@ -196,8 +196,6 @@ def normalize(raw: Iterable[tuple[int, int]]) -> Multiset:
         if count == 0:
             continue
         merged[value] = merged.get(value, 0) + count
-    if not merged:
-        raise EmptyError("multiset has no elements")
     return Multiset(tuple(sorted(merged.items(), reverse=True)))
 
 

@@ -53,14 +53,15 @@ class NoSplitError(DerivationError):
 
 class DerivationPlan(_Value):
     """How many (a, b)-derivations to apply, as (a, b, count) steps with
-    distinct (a, b) keys.  Build from raw triples with `of`, which merges
-    duplicates and drops zero counts."""
+    distinct (a, b) keys, each number an `int` (TypeError).  Build from
+    raw triples with `of`, which merges duplicates and drops zero counts."""
 
     __slots__ = _fields = ("steps",)
 
     def __init__(self, steps: tuple[tuple[int, int, int], ...] = ()) -> None:
         seen = set()
         for a, b, count in steps:
+            _check_ints(a, b, count)
             if a <= 0 or b <= 0:
                 raise ValueError(f"plan values must be positive, got ({a},{b})")
             if count <= 0:
@@ -74,6 +75,8 @@ class DerivationPlan(_Value):
     def of(cls, steps: Iterable[tuple[int, int, int]]) -> DerivationPlan:
         merged: dict[tuple[int, int], int] = {}
         for a, b, count in steps:
+            # Checked here too: a merge would hide 7.0 or True in the key of 7 or 1.
+            _check_ints(a, b, count)
             if count < 0:
                 raise ValueError(f"plan counts must be non-negative, got {count}")
             if count:
@@ -81,16 +84,26 @@ class DerivationPlan(_Value):
         return cls(tuple((a, b, c) for (a, b), c in merged.items()))
 
 
+def _check_ints(*numbers) -> None:
+    # A bool or float would pass the membership and count tests as the
+    # int it equals, and then reach a Multiset as itself.
+    for x in numbers:
+        if type(x) is not int:
+            raise TypeError(f"derivation values and counts must be ints, got {numbers!r}")
+
+
 def derive(p: Pair, a: int, b: int) -> Pair:
     """Apply one (a, b)-derivation and re-canonicalize.
 
-    Requires a in A, b in B, a != b, and length > 2 (a length-2 pair
-    would lose a whole side).  On a pair that is k-irreducible the result
-    is again k-irreducible; on reducible pairs the operation still works
-    but carries no such guarantee.
+    Requires int a and b (TypeError), a in A, b in B, a != b, and
+    length > 2 (a length-2 pair would lose a whole side).  On a pair
+    that is k-irreducible the result is again k-irreducible; on
+    reducible pairs the operation still works but carries no such
+    guarantee.
     """
     if p.length <= 2:
         raise TooSmallError("pair of length 2 cannot be derived")
+    _check_ints(a, b)
     if a not in p.a:
         raise NoSuchElementError(f"no copy of {a} in the first multiset")
     if b not in p.b:

@@ -23,9 +23,10 @@ of them: it counts m(m+1)/2 pairs of the m multisets of sum S with
 values <= k and at most L elements, L = k in pruned mode and the cap in
 brute mode, where it bounds nothing (`_box_counts` gives m).
 
-`_pairs` alone turns hits into oriented, sorted Pairs, decoding each
-distinct side once, where they are read: `enumerate_irreducible` each
-sum's hits in its length window, and `compute_ell` only its witnesses.
+`_pairs` alone turns one sum's hits into Pairs, oriented and ordered by
+their packed ints, decoding each distinct side once, where hits are
+read: `enumerate_irreducible` each sum's hits in its length window, and
+`compute_ell` only its witnesses, grouped by sum.
 The window is an argument of `enumerate_irreducible` alone, which
 `extremal_pairs` narrows to 2k - 1; a survey, and the cache key of its
 report, is (k, sum cap, mode), so `compute_ell` takes no window and
@@ -46,7 +47,7 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
-from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, _set, _Value, pair_canonical
+from .core import KTooSmallError, Multiset, Pair, ResourceLimitError, _set, _Value
 from .formats import pair_to_obj
 # Called nowhere here: perfbench/tracing.py patches this name.
 from .irreducibility import _fold_run
@@ -65,11 +66,14 @@ _MODES = ("brute", "pruned")
 
 class EnumConfig(_Value):
     """A survey and its cache key: alphabet bound k, sum cap (default
-    k*k) and mode."""
+    k*k) and mode.  k and the cap are `int`s, not bools or floats
+    (TypeError), as a report prints them and a cache entry is named."""
 
     __slots__ = _fields = ("k", "sum_cap", "mode")
 
     def __init__(self, k: int, sum_cap: int | None = None, mode: str = "brute") -> None:
+        if type(k) is not int or not (sum_cap is None or type(sum_cap) is int):
+            raise TypeError(f"k and sum_cap must be ints, got ({k!r}, {sum_cap!r})")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         if mode not in _MODES:
@@ -254,18 +258,14 @@ def _run_tuple(side: int) -> tuple[tuple[int, int], ...]:
     return tuple([(top - i, c) for i, c in enumerate(data) if c])
 
 
-def _survey_order(p: Pair) -> tuple:
-    """A key under which survey order is descending: by sum, then by A
-    and B in candidate order.  Run tuples order as their multisets do."""
-    return (-p.a.sigma, p.a.runs, p.b.runs)
-
-
 def _pairs(hits) -> list[Pair]:
-    """Hits (any, X, Y) as canonical Pairs, in survey order.  Each
-    distinct side is decoded once; hits of one sum often share one."""
-    sides = {side: Multiset(_run_tuple(side)) for side in {s for _, x, y in hits for s in (x, y)}}
-    pairs = [pair_canonical(sides[x], sides[y]) for _, x, y in hits]
-    return sorted(pairs, key=_survey_order, reverse=True)
+    """One sum's hits (any, X, Y) as canonical Pairs, in survey order.
+    A packed side orders as its run tuple does, so the larger int is A
+    and the (A, B) ints sort descending.  Each distinct side is decoded
+    once; hits of one sum often share one."""
+    oriented = sorted([(x, y) if x > y else (y, x) for _, x, y in hits], reverse=True)
+    sides = {side: Multiset(_run_tuple(side)) for side in {s for pair in oriented for s in pair}}
+    return [Pair(sides[a], sides[b]) for a, b in oriented]
 
 
 def _scan_sum(found: dict, counts: list[int], total: int):
@@ -338,22 +338,22 @@ def compute_ell(cfg: EnumConfig) -> EllReport:
     """
     start = time.perf_counter()
     ell = 0
-    longest = []  # the hits of length ell
+    longest = {}  # sum -> its hits of length ell, in scan order
     scanned = 0
     irreducible = 0
-    for hits, sc in _scan_all(cfg, 1):
+    for total, (hits, sc) in enumerate(_scan_all(cfg, 1), 1):
         scanned += sc
         irreducible += len(hits)
         for hit in hits:
             if hit[0] >= ell:
                 if hit[0] > ell:
                     ell = hit[0]
-                    longest = []
-                longest.append(hit)
+                    longest = {}
+                longest.setdefault(total, []).append(hit)
     return EllReport(
         k=cfg.k,
         ell=ell,
-        witnesses=tuple(_pairs(longest)),
+        witnesses=tuple(p for hits in longest.values() for p in _pairs(hits)),
         pairs_scanned=scanned,
         irreducible_count=irreducible,
         mode=cfg.mode,

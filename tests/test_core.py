@@ -46,9 +46,10 @@ class TestNormalize:
             normalize([(3, -1)])
 
     def test_rejects_empty_result(self):
-        with pytest.raises(EmptyError):
+        # The message is Multiset's own: normalize has no check of its own.
+        with pytest.raises(EmptyError, match="^multiset has no elements$"):
             normalize([])
-        with pytest.raises(EmptyError):
+        with pytest.raises(EmptyError, match="^multiset has no elements$"):
             normalize([(3, 0)])
 
     def test_width_limits(self):

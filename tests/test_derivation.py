@@ -133,6 +133,33 @@ class TestDerive:
         assert q.length == p.length - 1
 
 
+_P = "7^3 1^2 | 6^3 5"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # On a run that exists, the float would derive as its int does.
+        lambda: derive_product(parse_pair(_P), DerivationPlan(((7.0, 6, 1),))),
+        # On one that does not, it would reach a Multiset as (2.0, 1).
+        lambda: DerivationPlan(((7.0, 5, 1),)),
+        lambda: DerivationPlan(((True, 2, 1),)),
+        lambda: DerivationPlan(((7, 6, 1.0),)),
+        # Merged into the key (7, 6), the float would reach no plan.
+        lambda: DerivationPlan.of([(7, 6, 1), (7.0, 6, 1)]),
+        lambda: DerivationPlan.of([(7, 6, True)]),
+        # `True in A` finds the run of 1.
+        lambda: derive(parse_pair(_P), True, 6),
+        lambda: derive(parse_pair(_P), 7, 6.0),
+    ],
+    ids=["product-float-on-a-run", "plan-float", "plan-bool", "plan-float-count",
+         "of-merged-float", "of-bool-count", "derive-bool", "derive-float"],
+)
+def test_derivation_values_and_counts_must_be_ints(build):
+    with pytest.raises(TypeError, match="derivation values and counts must be ints"):
+        build()
+
+
 class TestDeriveProduct:
     def test_worked_example(self):
         p = pair((7, 7, 7, 1, 1), (6, 6, 6, 5))

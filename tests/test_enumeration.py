@@ -338,6 +338,23 @@ class TestEnumConfig:
             enumerate_irreducible(EnumConfig(k=2), length_window=(4, 2))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EnumConfig(k=True),
+        lambda: EnumConfig(k=3.0),
+        # enumerate_irreducible would list pairs under this cap.
+        lambda: EnumConfig(k=3, sum_cap=9.0),
+        lambda: EnumConfig(k=3, sum_cap=True, mode="pruned"),
+    ],
+    ids=["bool-k", "float-k", "float-cap", "bool-cap"],
+)
+def test_k_and_sum_cap_must_be_ints(build):
+    # A bool k would print as `"k":true` and name the entry `ell-kTrue-...`.
+    with pytest.raises(TypeError, match="k and sum_cap must be ints"):
+        build()
+
+
 class TestEnumerateIrreducible:
     def test_k2_exact_set(self):
         found = list(enumerate_irreducible(EnumConfig(k=2, sum_cap=4)))
@@ -903,6 +920,20 @@ class TestWitnessesOnly:
                 p = pair_canonical(Multiset(_packed_runs(x)), Multiset(_packed_runs(y)))
                 assert p.length == length
 
+    def test_pairs_orient_and_order_hits_by_their_packed_sides(self):
+        # A packed side orders as its run tuple does, so one comparison
+        # of ints orients each hit and one sort of (A, B) ints orders a
+        # sum's hits.  The reference builds canonical Pairs from runs
+        # decoded here and sorts them by sum, then A's and B's runs.
+        def survey_order(p):
+            return (-p.a.sigma, p.a.runs, p.b.runs)
+
+        for total, hits in enumeration._search(enumeration.MAX_K).items():
+            reference = [pair_canonical(Multiset(_packed_runs(x)), Multiset(_packed_runs(y)))
+                         for _, x, y in hits]
+            reference.sort(key=survey_order, reverse=True)
+            assert enumeration._pairs(hits) == reference, total
+
     @pytest.mark.parametrize(
         "mode,k", [("brute", 6), ("pruned", 9), ("pruned", enumeration.MAX_K)]
     )
@@ -933,10 +964,16 @@ class TestWitnessesOnly:
         assert len(calls["_run_tuple"]) == len(sides) == 4_564
 
     @pytest.mark.parametrize(
-        "mode,k", [("brute", k) for k in range(1, 7)] + [("pruned", k) for k in range(1, 10)]
+        "mode,k,cap",
+        [pytest.param("brute", k, None, id=f"brute-{k}") for k in range(1, 7)]
+        + [pytest.param("pruned", k, None, id=f"pruned-{k}") for k in range(1, 10)]
+        # Capped surveys whose witnesses lie at more than one sum: each
+        # sum's witnesses are ordered on their own, the sums ascending.
+        + [pytest.param("brute", 3, 4, id="brute-3-cap4"),
+           pytest.param("pruned", 4, 6, id="pruned-4-cap6")],
     )
-    def test_report_matches_a_reference_built_from_pairs(self, mode, k):
-        cfg = EnumConfig(k=k, mode=mode)
+    def test_report_matches_a_reference_built_from_pairs(self, mode, k, cap):
+        cfg = EnumConfig(k=k, sum_cap=cap, mode=mode)
         stream = list(enumeration._scan_all(cfg, 1))
         pairs = list(enumerate_irreducible(cfg))
         ell = max(p.length for p in pairs)
@@ -947,10 +984,16 @@ class TestWitnessesOnly:
             pairs_scanned=sum(sc for _, sc in stream),
             irreducible_count=sum(len(hits) for hits, _ in stream),
             mode=mode,
-            sum_cap=k * k,
+            sum_cap=cfg.sum_cap,
             wall_time=0.0,
         )
         assert _timeless(compute_ell(cfg)) == expected
+        spanning = {
+            4: ["3 | 1^3", "3 1 | 2^2"],
+            6: ["4 | 1^4", "4 1^2 | 3^2", "3^2 | 2^3"],
+        }
+        if cap is not None:
+            assert [format_pair(p) for p in expected.witnesses] == spanning[cap]
         assert expected.irreducible_count == len(pairs)
         # A window keeps the stream's pairs of its lengths, in stream order.
         for lo, hi in ((1, 3), (2 * k - 1, 2 * k - 1), (2 * k, 3 * k)):
