@@ -594,8 +594,9 @@ class TestEll:
 
     @pytest.mark.parametrize(
         "content",
-        [b"[]", b"\xff\xfe{bad", b"[" * 200_000 + b"]" * 200_000],
-        ids=["list", "not-utf8", "deep-nesting"],
+        [b"[]", b"\xff\xfe{bad", b"[" * 200_000 + b"]" * 200_000,
+         b'"x"', b"3", b"null", b"{}"],
+        ids=["list", "not-utf8", "deep-nesting", "string", "number", "null", "empty-object"],
     )
     def test_corrupt_cache_entry_is_a_miss(self, capsys, isolated_cache, content):
         _, expected, _ = run(capsys, "ell", "2")
@@ -675,8 +676,24 @@ class TestEll:
                 "witnesses": e["report"]["witnesses"][::-1]}}),
             ("9", lambda e: e | {"created_at": 0}),
             ("9", lambda e: {key: v for key, v in e.items() if key != "created_at"}),
+            ("9", lambda e: {key: v for key, v in e.items() if key != "tool_version"}),
+            ("9", lambda e: e | {"tool_version": 0}),
+            ("9", lambda e: {key: v for key, v in e.items() if key != "report"}),
+            ("9", lambda e: e | {"report": []}),
+            ("9", lambda e: e | {"report": "report"}),
+            ("9", lambda e: e | {"report": e["report"] | {"witnesses": {}}}),
         ],
-        ids=["reordered-witnesses", "non-string-created-at", "missing-created-at"],
+        ids=[
+            "reordered-witnesses",
+            "non-string-created-at",
+            "missing-created-at",
+            "missing-tool-version",
+            "numeric-tool-version",
+            "missing-report",
+            "list-report",
+            "string-report",
+            "object-witnesses",
+        ],
     )
     def test_cache_entry_edit_is_a_miss(self, capsys, isolated_cache, cap, edit):
         # Edits to the whole entry; at cap 4 `ell 3` has two witnesses.
