@@ -3,10 +3,20 @@
 An entry holds the version that wrote it, `created_at` and the report;
 the file name is the key, and any other field, such as the `key` that
 earlier versions wrote, is not read.  An entry is a miss, which `ell`
-recomputes and overwrites, unless it is readable, UTF-8, JSON not too
-deep to parse and an object; its version is `__version__`, so a version
-change invalidates every entry; its `created_at` is a string; and its
-report passes `_rebuilt`.
+recomputes and overwrites, unless all of these hold:
+- it is readable, UTF-8, JSON not too deep to parse, and an object with
+  `tool_version`, `created_at` and `report`;
+- its version is `__version__`, so a version change invalidates every
+  entry, and its `created_at` is a string;
+- its report, an object, rebuilt from its own values under the config's
+  k, mode and sum_cap, with every witness parsed, prints the stored
+  JSON exactly: the same fields in the same order, its own k, mode and
+  sum_cap the key's, a k or sum_cap of 3, not 3.0, and each witness
+  canonical (larger side first, runs merged and descending);
+- its ell and counts are ints >= 0 and its wall time a finite float
+  >= 0, and there is a witness exactly when ell is positive;
+- its witnesses, in survey order (by sum, then A, then B, descending,
+  none twice), are irreducible pairs of length ell within the caps.
 Writes go through a temporary file plus rename so readers never see a
 torn entry.  The directory defaults to the user cache dir and can be
 overridden with the ZSPAIRS_CACHE_DIR environment variable.  With no
@@ -44,37 +54,12 @@ def entry_path(cfg: EnumConfig) -> Path:
 
 
 def load_report(cfg: EnumConfig) -> tuple[EllReport, str] | None:
-    """The report cached for this exact key and this version, rebuilt by
-    `_rebuilt`, and when its entry was stored; or None."""
-    # No cache directory, or an entry unreadable, not UTF-8, not JSON or too deep.
+    """The report cached for this exact key and this version, rebuilt as
+    the EllReport it was built from, and when its entry was stored; or
+    None.  The module docstring lists what makes an entry a hit."""
     try:
         data = json.loads(entry_path(cfg).read_text())
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if data.get("tool_version") != __version__:
-        return None
-    created_at, report = data.get("created_at"), data.get("report")
-    if not isinstance(created_at, str) or not isinstance(report, dict):
-        return None
-    report = _rebuilt(report, cfg)
-    return None if report is None else (report, created_at)
-
-
-def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
-    """A stored report as the EllReport it was built from, if it is one a
-    survey of this config could return.  Rebuilt from its own values
-    under the config's k, mode and sum_cap, with every witness parsed, it
-    prints the stored JSON exactly: the same fields in the same order,
-    its own k, mode and sum_cap the key's, a k or sum_cap of 3, not 3.0,
-    and each witness canonical (larger side first, runs merged and
-    descending).  Its ell and counts are ints >= 0 and its wall time a
-    finite float >= 0; there is a witness exactly when ell is positive;
-    and the witnesses, in survey order (by sum, then A, then B,
-    descending, none twice), are irreducible pairs of length ell within
-    the caps."""
-    try:
+        version, created_at, report = data["tool_version"], data["created_at"], data["report"]
         witnesses = tuple(map(pair_from_obj, report["witnesses"]))
         rebuilt = EllReport(**{**report, "witnesses": witnesses,
                                "k": cfg.k, "mode": cfg.mode, "sum_cap": cfg.sum_cap})
@@ -82,7 +67,8 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
         counts = (ell, rebuilt.pairs_scanned, rebuilt.irreducible_count)
         order = [(-p.a.sigma, p.a.runs, p.b.runs) for p in witnesses]
         holds = (
-            json.dumps(rebuilt.to_obj()) == json.dumps(report)
+            version == __version__ and type(created_at) is str
+            and json.dumps(rebuilt.to_obj()) == json.dumps(report)
             and all(type(c) is int and c >= 0 for c in counts)
             and type(wall_time) is float and 0 <= wall_time < float("inf")
             and (ell > 0) == bool(witnesses)
@@ -93,10 +79,12 @@ def _rebuilt(report: dict, cfg: EnumConfig) -> EllReport | None:
                 for p in witnesses
             )
         )
-    # A field missing or extra, a witness not a pair, or one too large to decide.
-    except (KeyError, TypeError, ValueError):
+    # No cache directory; an entry unreadable, not UTF-8, not JSON or too
+    # deep; a field missing or extra, a witness not a pair, or one too
+    # large to decide.
+    except (OSError, ValueError, RecursionError, KeyError, TypeError):
         return None
-    return rebuilt if holds else None
+    return (rebuilt, created_at) if holds else None
 
 
 def store_report(cfg: EnumConfig, report: EllReport) -> Path:

@@ -104,14 +104,11 @@ def cmd_ell(args: argparse.Namespace) -> int:
 
 def _emit_pairs(pairs, fmt: str, k: int) -> None:
     if fmt == "csv":
-        import csv  # here, not at the top: start-up pays only for what a command uses
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["k", "sum", "length", "A", "B"])
+        # Written by its grammar: the fields are ints and multiset text over
+        # [0-9^ ], so no field needs quoting.
+        print("k,sum,length,A,B")
         for p in pairs:
-            writer.writerow(
-                [k, p.a.sigma, p.length, format_multiset(p.a), format_multiset(p.b)]
-            )
+            print(f"{k},{p.a.sigma},{p.length},{format_multiset(p.a)},{format_multiset(p.b)}")
     elif fmt == "json":
         for p in pairs:
             print(pair_to_json(p))

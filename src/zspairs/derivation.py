@@ -16,6 +16,7 @@ earlier ones, so order matters there.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .core import Multiset, Pair, _set, _Value, pair_canonical
@@ -124,8 +125,6 @@ def derive_product(p: Pair, plan: DerivationPlan) -> Pair:
     conditions license and what makes the result order-independent.  Use
     derive_chain for sequential consumption.
     """
-    if not plan.steps:
-        return p
     for a, b, _ in plan.steps:
         if a == b:
             raise EqualValuesError(f"cannot derive with equal values {a}")
@@ -186,7 +185,8 @@ def derive_chain(p: Pair, steps: Sequence[tuple[int, int]]) -> Pair:
 def split_index(x: Sequence[int], y: Sequence[int]) -> int:
     """The unique t with y_1 + ... + y_t <= sum(x) < y_1 + ... + y_{t+1}.
 
-    Defined when y_1 <= sum(x) < sum(y); then 1 <= t < len(y).
+    Defined when x and y are nonempty, hold positive ints (TypeError for
+    a bool or float) and y_1 <= sum(x) < sum(y); then 1 <= t < len(y).
     """
     _check_positive(x, "x")
     _check_positive(y, "y")
@@ -195,17 +195,15 @@ def split_index(x: Sequence[int], y: Sequence[int]) -> int:
         raise NoSplitError(f"y[0]={y[0]} already exceeds sum(x)={total_x}")
     if sum(y) <= total_x:
         raise NoSplitError(f"sum(y)={sum(y)} does not exceed sum(x)={total_x}")
-    prefix = 0
-    for j, val in enumerate(y, start=1):
-        prefix += val
-        if prefix > total_x:
-            return j - 1
-    raise AssertionError("unreachable: sum(y) > sum(x) was checked")
+    return next(t for t, s in enumerate(accumulate(y)) if s > total_x)
 
 
 def _check_positive(seq: Sequence[int], name: str) -> None:
     if not seq:
         raise NoSplitError(f"{name} must be nonempty")
+    # By `Multiset`'s rule: a bool or float would pass as the int it equals.
+    if any(type(v) is not int for v in seq):
+        raise TypeError(f"{name} must hold ints, got {tuple(seq)!r}")
     if any(v <= 0 for v in seq):
         raise NoSplitError(f"{name} must contain positive integers only")
 

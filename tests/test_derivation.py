@@ -352,6 +352,10 @@ class TestSplitIndex:
         with pytest.raises(NoSplitError):
             split_index((3, 0), (1, 4))
 
+    def test_rejects_sizes_that_are_not_ints(self):
+        with pytest.raises(TypeError, match="must hold ints"):
+            split_index([3.0], [1, 2.5, 4])
+
 
 class TestAllocateMarbles:
     def test_two_bins(self):
@@ -369,6 +373,13 @@ class TestAllocateMarbles:
     def test_no_split_rejected(self):
         with pytest.raises(NoSplitError, match="already exceeds"):
             allocate_marbles((1,), (2, 1))
+
+    @pytest.mark.parametrize(
+        "x,y", [([2.5], [1.0, 2.0]), ([True, 2], [1, 5])], ids=["floats", "bool-bin"]
+    )
+    def test_rejects_sizes_that_are_not_ints(self, x, y):
+        with pytest.raises(TypeError, match="must hold ints"):
+            allocate_marbles(x, y)
 
     def test_invariants_on_random_instances(self):
         rng = random.Random(7)

@@ -5,7 +5,8 @@
 The first is the `wc -l` total: every line of every module.  The second
 counts code: lines that are not blank and hold more than a comment or a
 docstring, docstrings being found by an AST pass (the string that opens
-a module, class or function body).  Uses the standard library only.
+a module, class or function body).  Below the totals, each module's two
+figures, in the same order.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ def _code_lines(text: str) -> int:
 
 
 def main() -> None:
-    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    total = sum(text.count("\n") for text in texts)
-    code = sum(_code_lines(text) for text in texts)
-    print(f"wc -l total: {total:,}")
-    print(f"code lines:  {code:,}")
+    sizes = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        sizes[path.name] = (text.count("\n"), _code_lines(text))
+    print(f"wc -l total: {sum(lines for lines, _ in sizes.values()):,}")
+    print(f"code lines:  {sum(code for _, code in sizes.values()):,}")
+    for name, (lines, code) in sizes.items():
+        print(f"  {name:<20} {lines:>5,} {code:>5,}")
 
 
 if __name__ == "__main__":
